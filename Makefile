@@ -73,7 +73,7 @@ plandiff:
 # unaffected oracles.  Writes BENCH_constopt.json.
 constopt:
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300
-	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 --backend compiled
+	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 --backend interpreted
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 -b Sq_fold_null_and
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 -b Sq_fold_affinity_cmp
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 -b Sq_fold_not_null_true

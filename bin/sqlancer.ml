@@ -47,13 +47,13 @@ let backend_conv =
 let backend_arg =
   Arg.(
     value
-    & opt backend_conv Engine.Exec_backend.Interpreted
+    & opt backend_conv Engine.Exec_backend.Compiled
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
-          "execution backend for the test sessions: $(b,interpreted) \
-           (tree-walking reference) or $(b,compiled) (closure-compiling, \
-           batched); findings are always confirmed against the interpreted \
-           engine")
+          "execution backend for the test sessions: $(b,compiled) \
+           (closure-compiling, batched) or $(b,interpreted) (tree-walking \
+           reference); findings are always confirmed against the \
+           interpreted engine")
 
 (* every optional oracle contributes one flag, derived from the registry
    so a new oracle needs no CLI edit *)

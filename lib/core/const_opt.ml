@@ -283,7 +283,7 @@ let directed_probes (ti : Schema_info.table_info) (row : Value.t array) :
       (probe_a :: probe_c :: Option.to_list probe_b)
 
 let sweep ?(queries_per_seed = 3) ?(bugs = Engine.Bug.empty_set)
-    ?(backend = Engine.Exec_backend.Interpreted) ~seed_lo ~seed_hi dialect :
+    ?(backend = Engine.Exec_backend.Compiled) ~seed_lo ~seed_hi dialect :
     sweep_result =
   let seeds = ref 0 and queries = ref 0 in
   let checks = ref 0 and rewrites = ref 0 in

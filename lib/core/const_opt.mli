@@ -65,7 +65,7 @@ type sweep_result = {
     collect every divergence.  With [bugs] empty this must return no
     divergences (the soundness gate); with one of the constant-folding
     bugs injected it must find them.  [backend] selects the execution
-    backend (default interpreted), so the soundness gate runs against
+    backend (default compiled), so the soundness gate runs against
     both. *)
 val sweep :
   ?queries_per_seed:int ->

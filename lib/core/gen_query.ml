@@ -12,7 +12,7 @@ type t = {
 
 let synthesize ?(rectify = true) ?(target = Tvl.True)
     ?(telemetry = Telemetry.noop)
-    ?(exec_backend = Engine.Exec_backend.Interpreted) ?shape ?pred ~rng
+    ?(exec_backend = Engine.Exec_backend.Compiled) ?shape ?pred ~rng
     ~dialect ~pivot ~case_sensitive_like ~max_depth ~check_expressions () =
   (* derived-table wrapping (FROM (SELECT * FROM t) AS t): the subquery's
      columns are untyped and binary-collated, so the pivot's column

@@ -30,7 +30,7 @@ type t = {
     interpreter cannot evaluate a generated expression (the caller retries
     with a fresh expression).
 
-    [exec_backend] (default [Interpreted]) is forwarded to the rectifier:
+    [exec_backend] (default [Compiled]) is forwarded to the rectifier:
     under [Compiled] each condition is translated once and its
     rectification re-check reuses the memoized evaluation
     ({!Rectify.rectify}).

@@ -304,8 +304,10 @@ let target_query (q : A.query) =
 
 (* canonical multiset of a result set: sorted row keys *)
 let canon (rs : Engine.Executor.result_set) =
-  List.sort String.compare
+  List.sort Engine.Executor.compare_row_key
     (List.map Engine.Executor.row_key rs.Engine.Executor.rs_rows)
+
+let same_canon = List.equal Engine.Executor.equal_row_key
 
 let message d =
   let cards =
@@ -364,7 +366,7 @@ let run_groups session (groups : variant_group list) : outcome =
               List.find_map
                 (fun (force, _, n, c) ->
                   match c with
-                  | Some c when c <> base_canon ->
+                  | Some c when not (same_canon c base_canon) ->
                       Some
                         {
                           dv_witness =

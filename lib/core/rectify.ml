@@ -58,9 +58,9 @@ let rectify_to ~telemetry ~backend ~target env e =
       | Engine.Exec_backend.Compiled -> rectify_compiled telemetry env e ~target)
 
 let rectify ?(telemetry = Telemetry.noop)
-    ?(backend = Engine.Exec_backend.Interpreted) env (e : A.expr) =
+    ?(backend = Engine.Exec_backend.Compiled) env (e : A.expr) =
   rectify_to ~telemetry ~backend ~target:Tvl.True env e
 
 let rectify_to_false ?(telemetry = Telemetry.noop)
-    ?(backend = Engine.Exec_backend.Interpreted) env (e : A.expr) =
+    ?(backend = Engine.Exec_backend.Compiled) env (e : A.expr) =
   rectify_to ~telemetry ~backend ~target:Tvl.False env e

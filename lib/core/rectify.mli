@@ -14,7 +14,7 @@
     (its interpreter calls also into [phase="interp"]), and postcondition
     failures bump [pqs_rectify_postcondition_failures_total].
 
-    [backend] (default [Interpreted]) selects how the pivot containment
+    [backend] (default [Compiled]) selects how the pivot containment
     check evaluates: the tree walker re-walks the expression for the
     postcondition re-check, while [Compiled] translates it once
     ({!Interp.Compiled}) and derives the re-check from the memoized

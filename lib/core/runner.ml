@@ -41,7 +41,7 @@ module Config = struct
       ?(check_non_containment = true) ?(oracles = Oracle.defaults)
       ?(telemetry = Telemetry.noop) ?(trace = false) ?(trace_capacity = 1024)
       ?bundle_dir ?(trace_sample = 0)
-      ?(backend = Engine.Exec_backend.Interpreted) ?(guided = false) dialect =
+      ?(backend = Engine.Exec_backend.Compiled) ?(guided = false) dialect =
     {
       dialect;
       bugs;
@@ -81,10 +81,16 @@ end
 type config = Config.t
 type stats = Stats.t
 
+(* Ground truth replays on the interpreted reference engine, whatever
+   backend produced the finding, so the two backends check each other. *)
+let reference_session dialect =
+  Engine.Session.create ~bugs:Engine.Bug.empty_set
+    ~backend:Engine.Exec_backend.Interpreted dialect
+
 (* replay a script on a correct engine and report whether the final SELECT
    returns at least one row without error *)
 let correct_engine_fetches dialect stmts =
-  let session = Engine.Session.create ~bugs:Engine.Bug.empty_set dialect in
+  let session = reference_session dialect in
   let n = List.length stmts in
   let fetched = ref false in
   (try
@@ -102,7 +108,7 @@ let correct_engine_fetches dialect stmts =
 (* inverse ground truth for the non-containment variant: on a correct
    engine the final SELECT must return no row *)
 let correct_engine_misses dialect stmts =
-  let session = Engine.Session.create ~bugs:Engine.Bug.empty_set dialect in
+  let session = reference_session dialect in
   let n = List.length stmts in
   let empty = ref false in
   (try

@@ -61,7 +61,7 @@ module Config : sig
             failing rounds against *)
     backend : Engine.Exec_backend.kind;
         (** execution backend of the campaign's test sessions (default
-            [Interpreted]); also forwarded to the rectifier, so under
+            [Compiled]); also forwarded to the rectifier, so under
             [Compiled] pivot containment checks compile each condition
             once.  Ground-truth confirmation always re-runs findings on
             the interpreted reference engine, keeping the two backends

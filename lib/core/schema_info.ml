@@ -54,6 +54,13 @@ let tables_of_session session =
             })
     (Storage.Catalog.table_names catalog)
 
+(* a view's query, on the session's execution backend *)
+let run_view session (v : Storage.Catalog.view) =
+  Engine.Exec_backend.run_query
+    (Engine.Session.backend session)
+    (Engine.Session.ctx session)
+    v.Storage.Catalog.view_query
+
 let views_of_session session =
   let catalog = Engine.Session.catalog session in
   List.filter_map
@@ -63,9 +70,7 @@ let views_of_session session =
       | Some v -> (
           (* derive output column names by running the view query *)
           match
-            Engine.Executor.run_query
-              (Engine.Session.ctx session)
-              v.Storage.Catalog.view_query
+            run_view session v
           with
           | Ok rs -> Some (name, rs.Engine.Executor.rs_columns)
           | Error _ -> Some (name, [])))
@@ -101,9 +106,7 @@ let view_pivot_sources session =
       | None -> None
       | Some v -> (
           match
-            Engine.Executor.run_query
-              (Engine.Session.ctx session)
-              v.Storage.Catalog.view_query
+            run_view session v
           with
           | Error _ -> None
           | Ok rs ->

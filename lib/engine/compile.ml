@@ -11,12 +11,15 @@
    coverage points) and pre-resolve what is static (column slots,
    dialect checks, structural bug folds).
 
-   Shapes outside the compiler's reach (views, aggregation) delegate to
-   Executor.run_query, so the backend is total and never changes
-   observable behaviour — only how fast it happens. *)
+   Every query shape compiles, views and aggregation included: grouping,
+   the aggregate folds and HAVING come from Executor's shared
+   aggregation operator, which this pipeline drives with compiled
+   evaluators.  The backend never calls the interpreter and never
+   changes observable behaviour, only how fast it happens. *)
 
 open Sqlval
 module A = Sqlast.Ast
+module Key_tbl = Executor.Key_tbl
 
 let ( let* ) = Result.bind
 
@@ -564,30 +567,6 @@ let project (tuple : Value.t array array) projs :
   go [] projs
 
 (* ------------------------------------------------------------------ *)
-(* Supported shapes                                                    *)
-
-(* Everything except aggregation (GROUP BY / aggregate items / aggregate
-   HAVING) and view expansion compiles; both fall back.  An [F_table]
-   naming neither a table nor anything also falls back, so the "no such
-   table" error comes from the one interpreted code path. *)
-let rec query_supported ctx = function
-  | A.Q_values _ -> true
-  | A.Q_compound (_, qa, qb) ->
-      query_supported ctx qa && query_supported ctx qb
-  | A.Q_select s -> select_supported ctx s
-
-and select_supported ctx (s : A.select) =
-  (not (Executor.select_has_agg s))
-  && List.for_all (from_item_supported ctx) s.A.sel_from
-
-and from_item_supported ctx = function
-  | A.F_table { name; _ } ->
-      Option.is_some (Storage.Catalog.find_table ctx.Executor.catalog name)
-  | A.F_sub { sub; _ } -> query_supported ctx sub
-  | A.F_join { left; right; _ } ->
-      from_item_supported ctx left && from_item_supported ctx right
-
-(* ------------------------------------------------------------------ *)
 (* The batched pipeline                                                *)
 
 (* A materialized FROM item: static per-binding metadata plus the
@@ -598,47 +577,84 @@ type source = {
   src_tuples : Value.t array array list;
 }
 
-(* Evaluate the compiled WHERE predicate over the tuples in blocks of
-   [block_size], compacting survivors per block; the FILTER operator
-   annotation reports the block count. *)
-let filter_rows ctx (c : cenv) pred (rows : Value.t array array array) :
-    (Value.t array array list, Errors.t) result =
-  match pred with
-  | None -> Ok (Array.to_list rows)
-  | Some p ->
-      let filter_t0 = Executor.op_clock ctx in
-      let n = Array.length rows in
-      let acc = ref [] in
-      let err = ref None in
-      let i = ref 0 in
-      let batches = ref 0 in
-      while !err = None && !i < n do
-        let hi = Stdlib.min n (!i + block_size) in
-        incr batches;
-        let j = ref !i in
-        while !err = None && !j < hi do
-          let row = rows.(!j) in
-          c.cur := row;
-          (match p () with
+(* Run compiled thunks in order, stopping at the first error. *)
+let run_thunks (ts : thunk list) =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | t :: rest ->
+        let* v = t () in
+        go (v :: acc) rest
+  in
+  go [] ts
+
+(* The comma-FROM cross product fused with the WHERE filter: one loop
+   level per item blits that item's tuple into the cenv's scratch tuple,
+   so the predicate runs without materializing the product and a
+   combined tuple is allocated only for a surviving row.  Iteration
+   order is the interpreter's (first item outermost; under the forced
+   join swap the second of two items is outermost, binding order
+   unchanged), so coverage, the first error and the FILTER event's
+   counts all match it.  Returns the survivors and whether the product
+   was non-empty. *)
+let filter_product ctx (c : cenv) pred (sources : source list) :
+    (Value.t array array list * bool, Errors.t) result =
+  let srcs =
+    Array.of_list (List.map (fun src -> Array.of_list src.src_tuples) sources)
+  in
+  let k = Array.length srcs in
+  let widths =
+    Array.of_list (List.map (fun src -> List.length src.src_layout) sources)
+  in
+  let offsets = Array.make k 0 in
+  for i = 1 to k - 1 do
+    offsets.(i) <- offsets.(i - 1) + widths.(i - 1)
+  done;
+  let order =
+    if k = 2 && Executor.swap_join_forced ctx then [| 1; 0 |]
+    else Array.init k Fun.id
+  in
+  let n = Array.fold_left (fun acc src -> acc * Array.length src) 1 srcs in
+  let filter_t0 = Executor.op_clock ctx in
+  let scratch = !(c.cur) in
+  let acc = ref [] in
+  let err = ref None in
+  (* a single item's tuple already is the whole tuple *)
+  let keep tuple = acc := (if k = 1 then tuple else Array.copy scratch) :: !acc in
+  let test =
+    match pred with
+    | None -> keep
+    | Some p -> (
+        fun tuple ->
+          match p () with
           | Ok v -> (
               match Eval.value_tvl c.env v with
-              | Ok Tvl.True -> acc := row :: !acc
+              | Ok Tvl.True -> keep tuple
               | Ok (Tvl.False | Tvl.Unknown) -> ()
               | Error e -> err := Some e)
-          | Error e -> err := Some e);
-          incr j
-        done;
-        i := hi
-      done;
-      (match !err with
-      | Some e -> Error e
-      | None ->
-          let filtered = List.rev !acc in
-          if Executor.tracing ctx then
-            Executor.op_event ctx ~op:"FILTER" ~detail:"WHERE" ~rows_in:n
-              ~rows_out:(List.length filtered)
-              ~batches:(Stdlib.max 1 !batches) ~t0:filter_t0 ();
-          Ok filtered)
+          | Error e -> err := Some e)
+  in
+  let rec loop d =
+    let si = order.(d) in
+    let src = srcs.(si) and off = offsets.(si) and w = widths.(si) in
+    let last = d = k - 1 in
+    let i = ref 0 in
+    while Option.is_none !err && !i < Array.length src do
+      let tuple = src.(!i) in
+      Array.blit tuple 0 scratch off w;
+      if last then test tuple else loop (d + 1);
+      incr i
+    done
+  in
+  if k > 0 then loop 0;
+  match !err with
+  | Some e -> Error e
+  | None ->
+      let rows = List.rev !acc in
+      if Option.is_some pred && Executor.tracing ctx then
+        Executor.op_event ctx ~op:"FILTER" ~detail:"WHERE" ~rows_in:n
+          ~rows_out:(List.length rows) ~batches:(batches_of n) ~t0:filter_t0
+          ();
+      Ok (rows, n > 0)
 
 (* One compiled-and-executed SELECT. *)
 let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
@@ -709,114 +725,73 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
     let c = make_cenv ctx layout in
     (* WHERE *)
     let pred = Option.map (compile_expr c) where in
-    let* filtered, product_nonempty =
-      match (sources, pred) with
-      | [ a; b ], Some p ->
-          (* fused cross product + filter for the two-item comma FROM:
-             the predicate runs against the cenv's scratch tuple with the
-             halves blitted in, and the combined tuple is allocated only
-             for surviving rows; iteration order, coverage, the FILTER
-             event's counts and the forced join swap all match the
-             materialize-then-filter path *)
-          let na = List.length a.src_layout
-          and nb = List.length b.src_layout in
-          let scratch = !(c.cur) in
-          let la = Array.of_list a.src_tuples
-          and lb = Array.of_list b.src_tuples in
-          let filter_t0 = Executor.op_clock ctx in
-          let n = Array.length la * Array.length lb in
-          let acc = ref [] in
-          let err = ref None in
-          let eval_tuple tl tr =
-            Array.blit tl 0 scratch 0 na;
-            Array.blit tr 0 scratch na nb;
-            match p () with
-            | Ok v -> (
-                match Eval.value_tvl c.env v with
-                | Ok Tvl.True -> acc := Array.append tl tr :: !acc
-                | Ok (Tvl.False | Tvl.Unknown) -> ()
-                | Error e -> err := Some e)
-            | Error e -> err := Some e
-          in
-          let outer, inner, tuple_of =
-            if Executor.swap_join_forced ctx then
-              (* second table in the outer loop; binding order stays
-                 textual so the predicate and projection are unchanged *)
-              (lb, la, fun o i -> eval_tuple i o)
-            else (la, lb, fun o i -> eval_tuple o i)
-          in
-          let no = Array.length outer and ni = Array.length inner in
-          let oi = ref 0 in
-          while !err = None && !oi < no do
-            let o = outer.(!oi) in
-            let ii = ref 0 in
-            while !err = None && !ii < ni do
-              tuple_of o inner.(!ii);
-              incr ii
-            done;
-            incr oi
-          done;
-          (match !err with
-          | Some e -> Error e
-          | None ->
-              let rows = List.rev !acc in
-              if Executor.tracing ctx then
-                Executor.op_event ctx ~op:"FILTER" ~detail:"WHERE" ~rows_in:n
-                  ~rows_out:(List.length rows)
-                  ~batches:
-                    (Stdlib.max 1 ((n + block_size - 1) / block_size))
-                  ~t0:filter_t0 ();
-              Ok (rows, n > 0))
-      | _ ->
-          let tuples =
-            match sources with
-            | [] -> []
-            | [ a; b ] when Executor.swap_join_forced ctx ->
-                (* forced join-order swap for the two-item comma FROM:
-                   iterate the second table in the outer loop; binding
-                   order stays textual so projection is unchanged *)
-                List.concat_map
-                  (fun tr ->
-                    List.map (fun tl -> Array.append tl tr) a.src_tuples)
-                  b.src_tuples
-            | first :: rest ->
-                List.fold_left
-                  (fun acc src ->
-                    List.concat_map
-                      (fun tl ->
-                        List.map (fun tr -> Array.append tl tr) src.src_tuples)
-                      acc)
-                  first.src_tuples rest
-          in
-          let* f = filter_rows ctx c pred (Array.of_list tuples) in
-          Ok (f, match tuples with [] -> false | _ :: _ -> true)
-    in
+    let* filtered, product_nonempty = filter_product ctx c pred sources in
     (* output columns come from a sample tuple: the runtime layout when
        the FROM produced tuples, nothing when it was empty (observable:
        [*] over an empty product has no columns) *)
     let sample = if product_nonempty then c.layout else [] in
     let* columns = Executor.output_columns ctx sample s.A.sel_items in
-    (* projection + ORDER BY keys, block at a time *)
-    let projs = compile_items c s.A.sel_items in
-    let order_thunks =
-      List.map (fun (e, _) -> compile_expr c e) s.A.sel_order_by
-    in
     let* out_rows_with_keys =
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | values :: rest ->
-            c.cur := values;
-            let* row = project values projs in
-            let rec keys acc' = function
-              | [] -> Ok (List.rev acc')
-              | t :: more ->
-                  let* v = t () in
-                  keys (v :: acc') more
-            in
-            let* ks = keys [] order_thunks in
-            go ((row, ks) :: acc) rest
-      in
-      go [] filtered
+      if Executor.select_has_agg s then begin
+        cov_ctx ctx "exec.group_by";
+        let agg_t0 = Executor.op_clock ctx in
+        let* groups =
+          Executor.group_rows ctx s filtered ~key_of:(fun exprs ->
+              let thunks = List.map (compile_expr c) exprs in
+              fun tuple ->
+                c.cur := tuple;
+                let* ks = run_thunks thunks in
+                Ok (Array.of_list ks))
+        in
+        (* a group's representative: the FROM layout holding its first
+           tuple, or no bindings at all for an empty group *)
+        let rep_env = function
+          | tuple :: _ ->
+              c.cur := tuple;
+              c
+          | [] -> make_cenv ctx []
+        in
+        let* rows =
+          Executor.aggregate ctx s groups
+            ~values:(fun group a ->
+              let t = compile_expr c a in
+              run_thunks
+                (List.map
+                   (fun tuple () ->
+                     c.cur := tuple;
+                     t ())
+                   group))
+            ~eval:(fun group e ->
+              let c = rep_env group in
+              compile_expr c e ())
+            ~project:(fun group items ->
+              let c = rep_env group in
+              project !(c.cur) (compile_items c items))
+        in
+        (if Executor.tracing ctx then
+           let n_in = List.length filtered in
+           Executor.op_event ctx ~op:"AGGREGATE"
+             ~detail:(if s.A.sel_group_by = [] then "" else "GROUP BY")
+             ~rows_in:n_in ~rows_out:(List.length rows)
+             ~batches:(batches_of n_in) ~t0:agg_t0 ());
+        Ok rows
+      end
+      else begin
+        (* projection + ORDER BY keys *)
+        let projs = compile_items c s.A.sel_items in
+        let order_thunks =
+          List.map (fun (e, _) -> compile_expr c e) s.A.sel_order_by
+        in
+        let rec go acc = function
+          | [] -> Ok (List.rev acc)
+          | values :: rest ->
+              c.cur := values;
+              let* row = project values projs in
+              let* ks = run_thunks order_thunks in
+              go ((row, ks) :: acc) rest
+        in
+        go [] filtered
+      end
     in
     (* DISTINCT *)
     let out_rows_with_keys =
@@ -826,16 +801,9 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
         let n_in =
           if Executor.tracing ctx then List.length out_rows_with_keys else 0
         in
-        let seen = Hashtbl.create 16 in
         let deduped =
-          List.filter
-            (fun (row, _) ->
-              let k = Executor.row_key row in
-              if Hashtbl.mem seen k then false
-              else begin
-                Hashtbl.replace seen k ();
-                true
-              end)
+          Executor.dedup_by
+            ~key:(fun (row, _) -> Executor.row_key row)
             out_rows_with_keys
         in
         if Executor.tracing ctx then
@@ -930,112 +898,101 @@ and run_query ctx (q : A.query) : (Executor.result_set, Errors.t) result =
   (* corruption gates every read, like the interpreter *)
   match Storage.Catalog.corruption ctx.Executor.catalog with
   | Some msg -> Error (Errors.make Errors.Malformed_database msg)
-  | None ->
-      if not (query_supported ctx q) then Executor.run_query ctx q
-      else run_supported ctx q
-
-and run_supported ctx (q : A.query) =
-  match q with
-  | A.Q_select s -> run_select ctx s
-  | A.Q_values rows ->
-      cov_ctx ctx "exec.values";
-      let c = make_cenv ctx [] in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | row :: rest ->
-            let thunks = List.map (compile_expr c) row in
-            let rec vals acc' = function
-              | [] -> Ok (Array.of_list (List.rev acc'))
-              | t :: more ->
-                  let* v = t () in
-                  vals (v :: acc') more
+  | None -> (
+      match q with
+      | A.Q_select s -> run_select ctx s
+      | A.Q_values rows ->
+          cov_ctx ctx "exec.values";
+          let c = make_cenv ctx [] in
+          let rec go acc = function
+            | [] -> Ok (List.rev acc)
+            | row :: rest ->
+                let* r = run_thunks (List.map (compile_expr c) row) in
+                go (Array.of_list r :: acc) rest
+          in
+          let* rows = go [] rows in
+          let width = match rows with r :: _ -> Array.length r | [] -> 0 in
+          let columns =
+            List.init width (fun i -> Printf.sprintf "column%d" (i + 1))
+          in
+          Ok { Executor.rs_columns = columns; rs_rows = rows }
+      | A.Q_compound (op, qa, qb) ->
+          (match op with
+          | A.Union | A.Union_all -> cov_ctx ctx "exec.compound_union"
+          | A.Intersect -> cov_ctx ctx "exec.compound_intersect"
+          | A.Except -> cov_ctx ctx "exec.compound_except");
+          let* ra = run_query ctx qa in
+          let* rb = run_query ctx qb in
+          let compound_t0 = Executor.op_clock ctx in
+          let wa = List.length ra.Executor.rs_columns
+          and wb = List.length rb.Executor.rs_columns in
+          if wa <> wb then
+            Error
+              (Errors.make Errors.Syntax_error
+                 "SELECTs to the left and right of a compound operator do \
+                  not have the same number of result columns")
+          else
+            let keyset rows =
+              let t = Key_tbl.create 16 in
+              List.iter
+                (fun r -> Key_tbl.replace t (Executor.row_key r) ())
+                rows;
+              t
             in
-            let* r = vals [] thunks in
-            go (r :: acc) rest
-      in
-      let* rows = go [] rows in
-      let width = match rows with r :: _ -> Array.length r | [] -> 0 in
-      let columns =
-        List.init width (fun i -> Printf.sprintf "column%d" (i + 1))
-      in
-      Ok { Executor.rs_columns = columns; rs_rows = rows }
-  | A.Q_compound (op, qa, qb) ->
-      (match op with
-      | A.Union | A.Union_all -> cov_ctx ctx "exec.compound_union"
-      | A.Intersect -> cov_ctx ctx "exec.compound_intersect"
-      | A.Except -> cov_ctx ctx "exec.compound_except");
-      let* ra = run_query ctx qa in
-      let* rb = run_query ctx qb in
-      let compound_t0 = Executor.op_clock ctx in
-      let wa = List.length ra.Executor.rs_columns
-      and wb = List.length rb.Executor.rs_columns in
-      if wa <> wb then
-        Error
-          (Errors.make Errors.Syntax_error
-             "SELECTs to the left and right of a compound operator do \
-              not have the same number of result columns")
-      else
-        let keyset rows =
-          let t = Hashtbl.create 16 in
-          List.iter
-            (fun r -> Hashtbl.replace t (Executor.row_key r) ())
-            rows;
-          t
-        in
-        let rows =
-          match op with
-          | A.Union ->
-              Executor.dedup_rows
-                (ra.Executor.rs_rows @ rb.Executor.rs_rows)
-          | A.Union_all -> ra.Executor.rs_rows @ rb.Executor.rs_rows
-          | A.Intersect ->
-              (* left-driven: a left row is in the output iff its key
-                 appears anywhere on the right, so hash the (typically
-                 tiny — the containment check's VALUES side) left and
-                 stop scanning the right once every left key has been
-                 seen *)
-              let want = keyset ra.Executor.rs_rows in
-              let missing = ref (Hashtbl.length want) in
-              let found = Hashtbl.create 16 in
-              let rec scan = function
-                | [] -> ()
-                | r :: rest ->
-                    if !missing > 0 then begin
-                      let k = Executor.row_key r in
-                      (if Hashtbl.mem want k && not (Hashtbl.mem found k)
-                       then begin
-                         Hashtbl.replace found k ();
-                         decr missing
-                       end);
-                      scan rest
-                    end
-              in
-              scan rb.Executor.rs_rows;
-              Executor.dedup_rows
-                (List.filter
-                   (fun r -> Hashtbl.mem found (Executor.row_key r))
-                   ra.Executor.rs_rows)
-          | A.Except ->
-              let inb = keyset rb.Executor.rs_rows in
-              Executor.dedup_rows
-                (List.filter
-                   (fun r -> not (Hashtbl.mem inb (Executor.row_key r)))
-                   ra.Executor.rs_rows)
-        in
-        let n_in =
-          List.length ra.Executor.rs_rows + List.length rb.Executor.rs_rows
-        in
-        if Executor.tracing ctx then
-          Executor.op_event ctx ~op:"COMPOUND"
-            ~detail:
-              (match op with
-              | A.Union -> "UNION"
-              | A.Union_all -> "UNION ALL"
-              | A.Intersect -> "INTERSECT"
-              | A.Except -> "EXCEPT")
-            ~rows_in:n_in ~rows_out:(List.length rows)
-            ~batches:(batches_of n_in) ~t0:compound_t0 ();
-        Ok { Executor.rs_columns = ra.Executor.rs_columns; rs_rows = rows }
+            let rows =
+              match op with
+              | A.Union ->
+                  Executor.dedup_rows
+                    (ra.Executor.rs_rows @ rb.Executor.rs_rows)
+              | A.Union_all -> ra.Executor.rs_rows @ rb.Executor.rs_rows
+              | A.Intersect ->
+                  (* left-driven: a left row is in the output iff its key
+                     appears anywhere on the right, so hash the (typically
+                     tiny — the containment check's VALUES side) left and
+                     stop scanning the right once every left key has been
+                     seen *)
+                  let want = keyset ra.Executor.rs_rows in
+                  let missing = ref (Key_tbl.length want) in
+                  let found = Key_tbl.create 16 in
+                  let rec scan = function
+                    | [] -> ()
+                    | r :: rest ->
+                        if !missing > 0 then begin
+                          let k = Executor.row_key r in
+                          (if Key_tbl.mem want k && not (Key_tbl.mem found k)
+                           then begin
+                             Key_tbl.replace found k ();
+                             decr missing
+                           end);
+                          scan rest
+                        end
+                  in
+                  scan rb.Executor.rs_rows;
+                  Executor.dedup_rows
+                    (List.filter
+                       (fun r -> Key_tbl.mem found (Executor.row_key r))
+                       ra.Executor.rs_rows)
+              | A.Except ->
+                  let inb = keyset rb.Executor.rs_rows in
+                  Executor.dedup_rows
+                    (List.filter
+                       (fun r -> not (Key_tbl.mem inb (Executor.row_key r)))
+                       ra.Executor.rs_rows)
+            in
+            let n_in =
+              List.length ra.Executor.rs_rows + List.length rb.Executor.rs_rows
+            in
+            if Executor.tracing ctx then
+              Executor.op_event ctx ~op:"COMPOUND"
+                ~detail:
+                  (match op with
+                  | A.Union -> "UNION"
+                  | A.Union_all -> "UNION ALL"
+                  | A.Intersect -> "INTERSECT"
+                  | A.Except -> "EXCEPT")
+                ~rows_in:n_in ~rows_out:(List.length rows)
+                ~batches:(batches_of n_in) ~t0:compound_t0 ();
+            Ok { Executor.rs_columns = ra.Executor.rs_columns; rs_rows = rows })
 
 (* One FROM item, materialized: the compiled mirror of the interpreter's
    from_tuples — identical coverage points, operator events, scan-site
@@ -1067,7 +1024,30 @@ and materialize ctx fctx ~where (item : A.from_item) :
               src_tuples =
                 List.map (fun (r, _) -> [| r.Storage.Row.values |]) rows;
             }
-      | None -> assert false (* query_supported: views fall back *))
+      | None -> (
+          match Storage.Catalog.find_view ctx.Executor.catalog name with
+          | Some v ->
+              let* columns, rows =
+                Executor.expand_view ctx ~run:run_query ~where
+                  ~alias:alias_name ~block_size v
+              in
+              let layout =
+                [
+                  {
+                    Executor.b_alias = String.lowercase_ascii alias_name;
+                    b_columns = columns;
+                    b_values = Array.map (fun _ -> Value.Null) columns;
+                  };
+                ]
+              in
+              Ok
+                {
+                  src_layout = layout;
+                  src_tuples = List.map (fun row -> [| row |]) rows;
+                }
+          | None ->
+              Error
+                (Errors.makef Errors.No_such_table "no such table: %s" name)))
   | A.F_sub { sub; alias } ->
       (* derived table, materialized through the compiled pipeline;
          columns are untyped and binary-collated, like the interpreter *)

@@ -13,18 +13,17 @@
     the same order, and the same flight-recorder operator stream (the
     compiled backend additionally reports non-zero [batches] counts).
 
-    Joins (nested loops with the ON predicate compiled once against the
-    combined binding layout), comma-FROM cross products and derived
-    tables all compile; query shapes outside the compiler (views,
-    aggregation) fall back to {!Executor.run_query}, so this entry
-    point is total over the query AST. *)
+    Every query shape compiles: joins (nested loops with the ON
+    predicate compiled once against the combined binding layout),
+    comma-FROM cross products (one fused product-and-filter loop),
+    derived tables, view expansion, and GROUP BY / aggregates / HAVING
+    (the grouping, aggregate folds and HAVING logic are
+    {!Executor.group_rows} and {!Executor.aggregate}, shared with the
+    interpreter).  The interpreter is never called; it remains the
+    reference the tests compare against. *)
 
 (** Rows per operator block. *)
 val block_size : int
-
-(** Can this query be compiled, or would {!run_query} fall back to the
-    interpreter?  Exposed for tests and EXPLAIN annotations. *)
-val query_supported : Executor.ctx -> Sqlast.Ast.query -> bool
 
 val run_query :
   Executor.ctx -> Sqlast.Ast.query -> (Executor.result_set, Errors.t) result

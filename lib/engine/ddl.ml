@@ -638,7 +638,7 @@ let drop_index ctx ~if_exists name =
   else if if_exists then Ok ()
   else Error (err Errors.No_such_index "no such index: %s" name)
 
-let create_view ctx name query =
+let create_view ~run ctx name query =
   cov ctx "ddl.create_view";
   let catalog = ctx.Executor.catalog in
   if Storage.Catalog.view_exists catalog name
@@ -646,7 +646,7 @@ let create_view ctx name query =
   then Error (err Errors.Object_exists "view %s already exists" name)
   else
     (* validate by running once *)
-    let* _rs = Executor.run_query ctx query in
+    let* _rs = run ctx query in
     Storage.Catalog.add_view catalog
       { Storage.Catalog.view_name = name; view_query = query };
     Ok ()

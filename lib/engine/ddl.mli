@@ -20,8 +20,14 @@ val create_index :
 val drop_index :
   Executor.ctx -> if_exists:bool -> string -> (unit, Errors.t) result
 
+(** Validates the view by running its query once with [run] (the
+    session's execution backend) before adding it to the catalog. *)
 val create_view :
-  Executor.ctx -> string -> Sqlast.Ast.query -> (unit, Errors.t) result
+  run:(Executor.ctx -> Sqlast.Ast.query -> (Executor.result_set, Errors.t) result) ->
+  Executor.ctx ->
+  string ->
+  Sqlast.Ast.query ->
+  (unit, Errors.t) result
 
 val drop_view :
   Executor.ctx -> if_exists:bool -> string -> (unit, Errors.t) result

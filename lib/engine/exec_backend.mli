@@ -9,8 +9,13 @@
     counts) — which is itself checked differentially by tests and the
     campaign gate.
 
-    Select a backend per {!Session} ([Session.create ~backend]) or per
-    campaign ([--backend] on the CLI). *)
+    {!Compiled} is the default everywhere: sessions, runner configs,
+    query synthesis, rectification, the constant-optimization sweep and
+    the CLI.  The interpreter stays as the reference: ground-truth
+    replay of findings runs on it, and the tests compare the compiled
+    backend against it.  Select a backend per {!Session}
+    ([Session.create ~backend]) or per campaign ([--backend] on the
+    CLI). *)
 
 type kind = Interpreted | Compiled
 

@@ -174,6 +174,70 @@ let result_contains rs row =
       Array.length r = Array.length row && Array.for_all2 Value.equal r row)
     rs.rs_rows
 
+(* ------------------------------------------------------------------ *)
+(* Row identity                                                        *)
+
+(* One value of a row key: numeric values that compare equal share a key
+   (exact-integer reals and booleans key as integers; other reals key by
+   their printed form), text and blobs stay apart. *)
+type key_value =
+  | K_null
+  | K_int of int64
+  | K_real of string
+  | K_text of string
+  | K_blob of string
+
+type row_key = key_value array
+
+let key_value = function
+  | Value.Null -> K_null
+  | Value.Int i -> K_int i
+  | Value.Bool b -> K_int (if b then 1L else 0L)
+  | Value.Real r ->
+      if Numeric.real_is_exact_int r then K_int (Int64.of_float r)
+      else K_real (string_of_float r)
+  | Value.Text s -> K_text s
+  | Value.Blob s -> K_blob s
+
+let row_key (row : Value.t array) : row_key = Array.map key_value row
+
+let equal_key_value a b =
+  match (a, b) with
+  | K_null, K_null -> true
+  | K_int x, K_int y -> Int64.equal x y
+  | K_real x, K_real y | K_text x, K_text y | K_blob x, K_blob y ->
+      String.equal x y
+  | (K_null | K_int _ | K_real _ | K_text _ | K_blob _), _ -> false
+
+let equal_row_key (a : row_key) (b : row_key) =
+  Array.length a = Array.length b && Array.for_all2 equal_key_value a b
+
+let compare_row_key (a : row_key) (b : row_key) = Stdlib.compare a b
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = row_key
+
+  let equal = equal_row_key
+
+  (* every column contributes, unlike the generic hash's bounded walk *)
+  let hash (k : t) =
+    Array.fold_left (fun h v -> (h * 31) + Hashtbl.hash v) 0 k land max_int
+end)
+
+let dedup_by ~key rows =
+  let seen = Key_tbl.create 16 in
+  List.filter
+    (fun row ->
+      let k = key row in
+      if Key_tbl.mem seen k then false
+      else begin
+        Key_tbl.replace seen k ();
+        true
+      end)
+    rows
+
+let dedup_rows rows = dedup_by ~key:row_key rows
+
 let cov ctx point =
   match ctx.coverage with None -> () | Some c -> Coverage.hit c point
 
@@ -623,6 +687,335 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name ?block_size
             Ok (rows, used_skip_scan)
           end
 
+(* Expand a view referenced in FROM: run its query through [run] (the
+   calling pipeline), apply the injected pushdown defect, and annotate
+   the VIEW operator.  Returns the view's column metadata (untyped,
+   binary-collated) and rows.  Shared by both pipelines; [block_size]
+   as in {!scan_rows}. *)
+let expand_view ctx ~run ~where ~alias ?block_size
+    (v : Storage.Catalog.view) =
+  cov ctx "exec.view_expand";
+  let view_t0 = op_clock ctx in
+  let* rs = run ctx v.Storage.Catalog.view_query in
+  let rows =
+    (* injected: WHERE pushdown into a DISTINCT view drops the last row *)
+    let is_distinct_view =
+      match v.Storage.Catalog.view_query with
+      | A.Q_select s -> s.A.sel_distinct
+      | _ -> false
+    in
+    if
+      is_distinct_view && where <> None
+      && Dialect.equal ctx.dialect Dialect.Sqlite_like
+      && bug ctx Bug.Sq_view_distinct_pushdown
+    then
+      match List.rev rs.rs_rows with [] -> [] | _ :: rest -> List.rev rest
+    else rs.rs_rows
+  in
+  let columns =
+    Array.of_list
+      (List.map
+         (fun c -> (String.lowercase_ascii c, Datatype.Any, Collation.Binary))
+         (view_columns rs))
+  in
+  (if tracing ctx then
+     let n_out = List.length rows in
+     let batches =
+       match block_size with
+       | None -> 0
+       | Some bs -> Stdlib.max 1 ((n_out + bs - 1) / bs)
+     in
+     op_event ctx ~op:"VIEW" ~detail:alias ~rows_in:(List.length rs.rs_rows)
+       ~rows_out:n_out ~batches ~t0:view_t0 ());
+  Ok (columns, rows)
+
+(* ------------------------------------------------------------------ *)
+(* Aggregation, shared by both pipelines                               *)
+
+(* Each pipeline supplies how a group's tuples are evaluated; the folds,
+   coverage points and injected defects below are the one definition of
+   GROUP BY / aggregate / HAVING semantics. *)
+
+let select_has_agg (s : A.select) =
+  s.A.sel_group_by <> []
+  || List.exists
+       (function
+         | A.Sel_expr (e, _) -> A.has_agg e
+         | A.Star | A.Table_star _ -> false)
+       s.A.sel_items
+  || (match s.A.sel_having with Some h -> A.has_agg h | None -> false)
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+      let* y = f x in
+      let* ys = map_result f rest in
+      Ok (y :: ys)
+
+(* One aggregate over a group of [rows] tuples.  [values a] evaluates the
+   argument [a] once per tuple of the group, in group order. *)
+let compute_agg ctx ~rows ~values (agg : A.expr) : (Value.t, Errors.t) result =
+  match agg with
+  | A.Agg (f, arg) -> (
+      (match f with
+      | A.A_count_star -> cov ctx "agg.count_star"
+      | A.A_count -> cov ctx "agg.count"
+      | A.A_sum -> cov ctx "agg.sum"
+      | A.A_avg -> cov ctx "agg.avg"
+      | A.A_min -> cov ctx "agg.min"
+      | A.A_max -> cov ctx "agg.max"
+      | A.A_total -> cov ctx "agg.total");
+      (* injected crash: MIN/MAX over a COLLATE expression *)
+      (match (f, arg) with
+      | (A.A_min | A.A_max), Some a
+        when Dialect.equal ctx.dialect Dialect.Sqlite_like
+             && bug ctx Bug.Sq_agg_collate_crash
+             && expr_has (function A.Collate _ -> true | _ -> false) a ->
+          raise
+            (Errors.Crash
+               "segfault: stale collation sequence in aggregate comparator")
+      | _ -> ());
+      match f with
+      | A.A_count_star -> Ok (Value.Int (Int64.of_int rows))
+      | A.A_count -> (
+          match arg with
+          | None -> Ok (Value.Int (Int64.of_int rows))
+          | Some a ->
+              let* vs = values a in
+              let n = List.length (List.filter (fun v -> not (Value.is_null v)) vs) in
+              Ok (Value.Int (Int64.of_int n)))
+      | A.A_sum | A.A_avg | A.A_total -> (
+          let* vs =
+            match arg with
+            | Some a -> values a
+            | None -> Error (Errors.make Errors.Invalid_function "SUM requires an argument")
+          in
+          let nums =
+            List.filter_map
+              (fun v ->
+                if Value.is_null v then None else Some (Coerce.to_numeric v))
+              vs
+          in
+          match f with
+          | A.A_total ->
+              let total =
+                List.fold_left
+                  (fun acc v ->
+                    match v with
+                    | Value.Int i -> acc +. Int64.to_float i
+                    | Value.Real r -> acc +. r
+                    | _ -> acc)
+                  0.0 nums
+              in
+              Ok (Value.Real total)
+          | A.A_sum | A.A_avg ->
+              if nums = [] then Ok Value.Null
+              else begin
+                let all_int =
+                  List.for_all
+                    (fun v -> match v with Value.Int _ -> true | _ -> false)
+                    nums
+                in
+                let sum_result =
+                  if all_int then begin
+                    let overflow = ref false in
+                    let s =
+                      List.fold_left
+                        (fun acc v ->
+                          match v with
+                          | Value.Int i -> (
+                              match Numeric.checked_add acc i with
+                              | Some r -> r
+                              | None ->
+                                  overflow := true;
+                                  acc)
+                          | _ -> acc)
+                        0L nums
+                    in
+                    if !overflow then Error (Errors.make Errors.Out_of_range "integer overflow")
+                    else Ok (Value.Int s)
+                  end
+                  else
+                    Ok
+                      (Value.Real
+                         (List.fold_left
+                            (fun acc v ->
+                              match v with
+                              | Value.Int i -> acc +. Int64.to_float i
+                              | Value.Real r -> acc +. r
+                              | _ -> acc)
+                            0.0 nums))
+                in
+                let* s = sum_result in
+                if f = A.A_avg then
+                  let total =
+                    match s with
+                    | Value.Int i -> Int64.to_float i
+                    | Value.Real r -> r
+                    | _ -> 0.0
+                  in
+                  Ok (Value.Real (total /. float_of_int (List.length nums)))
+                else Ok s
+              end
+          | _ -> assert false)
+      | A.A_min | A.A_max -> (
+          let* vs =
+            match arg with
+            | Some a -> values a
+            | None -> Error (Errors.make Errors.Invalid_function "MIN requires an argument")
+          in
+          let non_null = List.filter (fun v -> not (Value.is_null v)) vs in
+          match non_null with
+          | [] -> Ok Value.Null
+          | first :: rest ->
+              let keep =
+                match f with
+                | A.A_min -> fun c -> c < 0
+                | _ -> fun c -> c > 0
+              in
+              Ok
+                (List.fold_left
+                   (fun acc v ->
+                     if keep (Value.compare_total v acc) then v else acc)
+                   first rest)))
+  | _ -> Error (Errors.make Errors.Internal_error "compute_agg on non-aggregate")
+
+(* [e] with every aggregate replaced by its literal value over the group *)
+let substitute_aggs ctx ~rows ~values e : (A.expr, Errors.t) result =
+  let* table =
+    map_result
+      (fun a ->
+        let* v = compute_agg ctx ~rows ~values a in
+        Ok (a, v))
+      (A.collect_aggs e)
+  in
+  Ok
+    (A.map_expr
+       (fun node ->
+         match node with
+         | A.Agg _ -> (
+             match List.find_opt (fun (a, _) -> A.equal_expr a node) table with
+             | Some (_, v) -> A.Lit v
+             | None -> node)
+         | _ -> node)
+       e)
+
+(* The GROUP BY expressions actually grouped on. *)
+let group_exprs ctx (s : A.select) =
+  (* postgres Listing 15 class: inherited tables break the primary-key
+     functional dependency the grouping relies on *)
+  let pk_only =
+    Dialect.equal ctx.dialect Dialect.Postgres_like
+    && bug ctx Bug.Pg_inherit_group_by_dedup
+    &&
+    match s.A.sel_from with
+    | [ A.F_table { name; _ } ] -> (
+        match Storage.Catalog.find_table ctx.catalog name with
+        | Some ts ->
+            let schema = ts.Storage.Catalog.schema in
+            Storage.Catalog.children_of ctx.catalog
+              schema.Storage.Schema.table_name
+            <> []
+            && schema.Storage.Schema.primary_key <> []
+            && List.for_all
+                 (fun pk ->
+                   List.exists
+                     (fun g ->
+                       match g with
+                       | A.Col { column; _ } ->
+                           String.lowercase_ascii column
+                           = String.lowercase_ascii pk
+                       | _ -> false)
+                     s.A.sel_group_by)
+                 schema.Storage.Schema.primary_key
+        | None -> false)
+    | _ -> false
+  in
+  if pk_only then
+    (* buggy: group by the primary key columns only *)
+    match s.A.sel_from with
+    | [ A.F_table { name; _ } ] -> (
+        match Storage.Catalog.find_table ctx.catalog name with
+        | Some ts ->
+            List.map
+              (fun pk -> A.col pk)
+              ts.Storage.Catalog.schema.Storage.Schema.primary_key
+        | None -> s.A.sel_group_by)
+    | _ -> s.A.sel_group_by
+  else s.A.sel_group_by
+
+(* Partition [tuples] into groups in first-seen order, each group in
+   input order.  [key_of exprs] prepares a per-tuple evaluator of the
+   grouping expressions.  Without GROUP BY everything is one group, even
+   when empty. *)
+let group_rows ctx (s : A.select) ~key_of tuples =
+  if s.A.sel_group_by = [] then Ok [ tuples ]
+  else begin
+    let key = key_of (group_exprs ctx s) in
+    let table = Key_tbl.create 16 in
+    let order = ref [] in
+    let rec go = function
+      | [] -> Ok ()
+      | tuple :: rest ->
+          let* ks = key tuple in
+          let k = row_key ks in
+          (match Key_tbl.find_opt table k with
+          | Some group -> Key_tbl.replace table k (tuple :: group)
+          | None ->
+              Key_tbl.replace table k [ tuple ];
+              order := k :: !order);
+          go rest
+    in
+    let* () = go tuples in
+    Ok (List.rev_map (fun k -> List.rev (Key_tbl.find table k)) !order)
+  end
+
+(* The aggregation operator: per group, HAVING, then the
+   aggregate-substituted select items and ORDER BY keys.  [values g a]
+   evaluates [a] over every tuple of group [g]; [eval g e] and
+   [project g items] evaluate against the group's representative (its
+   first tuple, or no tuple at all for an empty group). *)
+let aggregate ctx (s : A.select) groups ~values ~eval ~project =
+  let tvl_env = eval_env ctx in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | group :: rest ->
+        let subst =
+          substitute_aggs ctx ~rows:(List.length group) ~values:(values group)
+        in
+        let* keep =
+          match s.A.sel_having with
+          | None -> Ok true
+          | Some h ->
+              cov ctx "exec.having";
+              let* h' = subst h in
+              let* v = eval group h' in
+              let* t = Eval.value_tvl tvl_env v in
+              Ok (Tvl.equal t Tvl.True)
+        in
+        if not keep then go acc rest
+        else
+          let* items =
+            map_result
+              (function
+                | A.Sel_expr (e, a) ->
+                    let* e' = subst e in
+                    Ok (A.Sel_expr (e', a))
+                | it -> Ok it)
+              s.A.sel_items
+          in
+          let* row = project group items in
+          let* keys =
+            map_result
+              (fun (e, _) ->
+                let* e' = subst e in
+                eval group e')
+              s.A.sel_order_by
+          in
+          go ((row, keys) :: acc) rest
+  in
+  go [] groups
+
 (* Returns the binding tuples of one FROM item. *)
 let rec from_tuples ctx fctx ~where (item : A.from_item) :
     (scanned, Errors.t) result =
@@ -644,33 +1037,8 @@ let rec from_tuples ctx fctx ~where (item : A.from_item) :
       | None -> (
           match Storage.Catalog.find_view ctx.catalog name with
           | Some v ->
-              cov ctx "exec.view_expand";
-              let view_t0 = op_clock ctx in
-              let* rs = run_query ctx v.Storage.Catalog.view_query in
-              let rows =
-                (* injected: WHERE pushdown into a DISTINCT view drops the
-                   last row *)
-                let is_distinct_view =
-                  match v.Storage.Catalog.view_query with
-                  | A.Q_select s -> s.A.sel_distinct
-                  | _ -> false
-                in
-                if
-                  is_distinct_view && where <> None
-                  && Dialect.equal ctx.dialect Dialect.Sqlite_like
-                  && bug ctx Bug.Sq_view_distinct_pushdown
-                then
-                  match List.rev rs.rs_rows with
-                  | [] -> []
-                  | _ :: rest -> List.rev rest
-                else rs.rs_rows
-              in
-              let columns =
-                Array.of_list
-                  (List.map
-                     (fun c ->
-                       (String.lowercase_ascii c, Datatype.Any, Collation.Binary))
-                     (view_columns rs))
+              let* columns, rows =
+                expand_view ctx ~run:run_query ~where ~alias:alias_name v
               in
               let tuples =
                 List.map
@@ -684,10 +1052,6 @@ let rec from_tuples ctx fctx ~where (item : A.from_item) :
                     ])
                   rows
               in
-              if tracing ctx then
-                op_event ctx ~op:"VIEW" ~detail:alias_name
-                  ~rows_in:(List.length rs.rs_rows)
-                  ~rows_out:(List.length rows) ~t0:view_t0 ();
               Ok { tuples; used_skip_scan = false }
           | None ->
               Error
@@ -832,137 +1196,6 @@ let rec from_tuples ctx fctx ~where (item : A.from_item) :
           used_skip_scan = l.used_skip_scan || r.used_skip_scan;
         }
 
-(* ------------------------------------------------------------------ *)
-(* Aggregates                                                          *)
-
-and compute_agg ctx (tuples : binding list list) (agg : A.expr) :
-    (Value.t, Errors.t) result =
-  match agg with
-  | A.Agg (f, arg) -> (
-      (match f with
-      | A.A_count_star -> cov ctx "agg.count_star"
-      | A.A_count -> cov ctx "agg.count"
-      | A.A_sum -> cov ctx "agg.sum"
-      | A.A_avg -> cov ctx "agg.avg"
-      | A.A_min -> cov ctx "agg.min"
-      | A.A_max -> cov ctx "agg.max"
-      | A.A_total -> cov ctx "agg.total");
-      (* injected crash: MIN/MAX over a COLLATE expression *)
-      (match (f, arg) with
-      | (A.A_min | A.A_max), Some a
-        when Dialect.equal ctx.dialect Dialect.Sqlite_like
-             && bug ctx Bug.Sq_agg_collate_crash
-             && expr_has (function A.Collate _ -> true | _ -> false) a ->
-          raise
-            (Errors.Crash
-               "segfault: stale collation sequence in aggregate comparator")
-      | _ -> ());
-      match f with
-      | A.A_count_star ->
-          Ok (Value.Int (Int64.of_int (List.length tuples)))
-      | A.A_count -> (
-          match arg with
-          | None -> Ok (Value.Int (Int64.of_int (List.length tuples)))
-          | Some a ->
-              let* vs = eval_over ctx tuples a in
-              let n = List.length (List.filter (fun v -> not (Value.is_null v)) vs) in
-              Ok (Value.Int (Int64.of_int n)))
-      | A.A_sum | A.A_avg | A.A_total -> (
-          let* vs =
-            match arg with
-            | Some a -> eval_over ctx tuples a
-            | None -> Error (Errors.make Errors.Invalid_function "SUM requires an argument")
-          in
-          let nums =
-            List.filter_map
-              (fun v ->
-                if Value.is_null v then None else Some (Coerce.to_numeric v))
-              vs
-          in
-          match f with
-          | A.A_total ->
-              let total =
-                List.fold_left
-                  (fun acc v ->
-                    match v with
-                    | Value.Int i -> acc +. Int64.to_float i
-                    | Value.Real r -> acc +. r
-                    | _ -> acc)
-                  0.0 nums
-              in
-              Ok (Value.Real total)
-          | A.A_sum | A.A_avg ->
-              if nums = [] then Ok Value.Null
-              else begin
-                let all_int =
-                  List.for_all
-                    (fun v -> match v with Value.Int _ -> true | _ -> false)
-                    nums
-                in
-                let sum_result =
-                  if all_int then begin
-                    let overflow = ref false in
-                    let s =
-                      List.fold_left
-                        (fun acc v ->
-                          match v with
-                          | Value.Int i -> (
-                              match Numeric.checked_add acc i with
-                              | Some r -> r
-                              | None ->
-                                  overflow := true;
-                                  acc)
-                          | _ -> acc)
-                        0L nums
-                    in
-                    if !overflow then Error (Errors.make Errors.Out_of_range "integer overflow")
-                    else Ok (Value.Int s)
-                  end
-                  else
-                    Ok
-                      (Value.Real
-                         (List.fold_left
-                            (fun acc v ->
-                              match v with
-                              | Value.Int i -> acc +. Int64.to_float i
-                              | Value.Real r -> acc +. r
-                              | _ -> acc)
-                            0.0 nums))
-                in
-                let* s = sum_result in
-                if f = A.A_avg then
-                  let total =
-                    match s with
-                    | Value.Int i -> Int64.to_float i
-                    | Value.Real r -> r
-                    | _ -> 0.0
-                  in
-                  Ok (Value.Real (total /. float_of_int (List.length nums)))
-                else Ok s
-              end
-          | _ -> assert false)
-      | A.A_min | A.A_max -> (
-          let* vs =
-            match arg with
-            | Some a -> eval_over ctx tuples a
-            | None -> Error (Errors.make Errors.Invalid_function "MIN requires an argument")
-          in
-          let non_null = List.filter (fun v -> not (Value.is_null v)) vs in
-          match non_null with
-          | [] -> Ok Value.Null
-          | first :: rest ->
-              let keep =
-                match f with
-                | A.A_min -> fun c -> c < 0
-                | _ -> fun c -> c > 0
-              in
-              Ok
-                (List.fold_left
-                   (fun acc v ->
-                     if keep (Value.compare_total v acc) then v else acc)
-                   first rest)))
-  | _ -> Error (Errors.make Errors.Internal_error "compute_agg on non-aggregate")
-
 and eval_over ctx tuples e =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
@@ -1022,47 +1255,6 @@ and project_row ctx tuple items : (Value.t array, Errors.t) result =
         go (vs :: acc) rest
   in
   go [] items
-
-and row_key (row : Value.t array) =
-  String.concat "\x00"
-    (Array.to_list
-       (Array.map
-          (fun v ->
-            match v with
-            | Value.Text s -> "t:" ^ s
-            | Value.Int i -> "i:" ^ Int64.to_string i
-            | Value.Real r ->
-                if Numeric.real_is_exact_int r then
-                  "i:" ^ Int64.to_string (Int64.of_float r)
-                else "r:" ^ string_of_float r
-            | Value.Blob s -> "b:" ^ s
-            | Value.Bool b -> "i:" ^ if b then "1" else "0"
-            | Value.Null -> "n")
-          row))
-
-and dedup_by : 'a. key:('a -> string) -> 'a list -> 'a list =
- fun ~key rows ->
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun row ->
-      let k = key row in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.replace seen k ();
-        true
-      end)
-    rows
-
-and dedup_rows rows = dedup_by ~key:row_key rows
-
-and select_has_agg (s : A.select) =
-  s.A.sel_group_by <> []
-  || List.exists
-       (function
-         | A.Sel_expr (e, _) -> A.has_agg e
-         | A.Star | A.Table_star _ -> false)
-       s.A.sel_items
-  || (match s.A.sel_having with Some h -> A.has_agg h | None -> false)
 
 and run_select ctx (s : A.select) : (result_set, Errors.t) result =
   let where = s.A.sel_where in
@@ -1169,49 +1361,27 @@ and run_select ctx (s : A.select) : (result_set, Errors.t) result =
     let* out_rows_with_keys =
       if select_has_agg s then begin
         cov ctx "exec.group_by";
-        let* groups = group_tuples ctx s filtered in
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | group :: rest ->
-              let* keep =
-                match s.A.sel_having with
-                | None -> Ok true
-                | Some h ->
-                    cov ctx "exec.having";
-                    let* h' = substitute_aggs ctx group h in
-                    let env =
-                      env_for ctx (match group with t :: _ -> t | [] -> [])
-                    in
-                    (match Eval.eval_tvl env h' with
-                    | Ok Tvl.True -> Ok true
-                    | Ok (Tvl.False | Tvl.Unknown) -> Ok false
-                    | Error e -> Error e)
-              in
-              if not keep then go acc rest
-              else
-                let rep = match group with t :: _ -> t | [] -> [] in
-                let* items' =
-                  let rec sub acc = function
-                    | [] -> Ok (List.rev acc)
-                    | A.Sel_expr (e, a) :: more ->
-                        let* e' = substitute_aggs ctx group e in
-                        sub (A.Sel_expr (e', a) :: acc) more
-                    | it :: more -> sub (it :: acc) more
-                  in
-                  sub [] s.A.sel_items
-                in
-                let* row = project_row ctx rep items' in
-                let* keys = order_keys ctx rep group s in
-                go ((row, keys) :: acc) rest
+        let* groups =
+          group_rows ctx s filtered ~key_of:(fun exprs tuple ->
+              let env = env_for ctx tuple in
+              let* ks = map_result (Eval.eval env) exprs in
+              Ok (Array.of_list ks))
         in
-        go [] groups
+        let rep group = match group with t :: _ -> t | [] -> [] in
+        aggregate ctx s groups
+          ~values:(fun group -> eval_over ctx group)
+          ~eval:(fun group e -> Eval.eval (env_for ctx (rep group)) e)
+          ~project:(fun group items -> project_row ctx (rep group) items)
       end
       else
         let rec go acc = function
           | [] -> Ok (List.rev acc)
           | tuple :: rest ->
               let* row = project_row ctx tuple s.A.sel_items in
-              let* keys = order_keys ctx tuple [ tuple ] s in
+              let env = env_for ctx tuple in
+              let* keys =
+                map_result (fun (e, _) -> Eval.eval env e) s.A.sel_order_by
+              in
               go ((row, keys) :: acc) rest
         in
         go [] filtered
@@ -1311,113 +1481,6 @@ and run_select ctx (s : A.select) : (result_set, Errors.t) result =
     Ok { rs_columns = columns; rs_rows = rows }
   end
 
-and order_keys ctx tuple group s =
-  (* aggregate queries order by substituted expressions *)
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (e, _) :: rest ->
-        let* e' =
-          if select_has_agg s then substitute_aggs ctx group e else Ok e
-        in
-        let* v = Eval.eval (env_for ctx tuple) e' in
-        go (v :: acc) rest
-  in
-  go [] s.A.sel_order_by
-
-and group_tuples ctx (s : A.select) (tuples : binding list list) :
-    (binding list list list, Errors.t) result =
-  if s.A.sel_group_by = [] then
-    (* one group over everything, even when empty *)
-    Ok [ tuples ]
-  else begin
-    (* postgres Listing 15 class: inherited tables break the primary-key
-       functional dependency the grouping relies on *)
-    let group_exprs =
-      let pk_only =
-        Dialect.equal ctx.dialect Dialect.Postgres_like
-        && bug ctx Bug.Pg_inherit_group_by_dedup
-        &&
-        match s.A.sel_from with
-        | [ A.F_table { name; _ } ] -> (
-            match Storage.Catalog.find_table ctx.catalog name with
-            | Some ts ->
-                let schema = ts.Storage.Catalog.schema in
-                Storage.Catalog.children_of ctx.catalog
-                  schema.Storage.Schema.table_name
-                <> []
-                && schema.Storage.Schema.primary_key <> []
-                && List.for_all
-                     (fun pk ->
-                       List.exists
-                         (fun g ->
-                           match g with
-                           | A.Col { column; _ } ->
-                               String.lowercase_ascii column
-                               = String.lowercase_ascii pk
-                           | _ -> false)
-                         s.A.sel_group_by)
-                     schema.Storage.Schema.primary_key
-            | None -> false)
-        | _ -> false
-      in
-      if pk_only then
-        (* buggy: group by the primary key columns only *)
-        match s.A.sel_from with
-        | [ A.F_table { name; _ } ] -> (
-            match Storage.Catalog.find_table ctx.catalog name with
-            | Some ts ->
-                List.map
-                  (fun pk -> A.col pk)
-                  ts.Storage.Catalog.schema.Storage.Schema.primary_key
-            | None -> s.A.sel_group_by)
-        | _ -> s.A.sel_group_by
-      else s.A.sel_group_by
-    in
-    let table = Hashtbl.create 16 in
-    let order = ref [] in
-    let rec go = function
-      | [] -> Ok ()
-      | tuple :: rest ->
-          let env = env_for ctx tuple in
-          let rec keys acc = function
-            | [] -> Ok (List.rev acc)
-            | g :: more ->
-                let* v = Eval.eval env g in
-                keys (v :: acc) more
-          in
-          let* ks = keys [] group_exprs in
-          let k = row_key (Array.of_list ks) in
-          (match Hashtbl.find_opt table k with
-          | Some group -> Hashtbl.replace table k (tuple :: group)
-          | None ->
-              Hashtbl.replace table k [ tuple ];
-              order := k :: !order);
-          go rest
-    in
-    let* () = go tuples in
-    Ok (List.rev_map (fun k -> List.rev (Hashtbl.find table k)) !order)
-  end
-
-and substitute_aggs ctx group e : (A.expr, Errors.t) result =
-  let aggs = A.collect_aggs e in
-  let rec compute acc = function
-    | [] -> Ok (List.rev acc)
-    | a :: rest ->
-        let* v = compute_agg ctx group a in
-        compute ((a, v) :: acc) rest
-  in
-  let* table = compute [] aggs in
-  Ok
-    (A.map_expr
-       (fun node ->
-         match node with
-         | A.Agg _ -> (
-             match List.find_opt (fun (a, _) -> A.equal_expr a node) table with
-             | Some (_, v) -> A.Lit v
-             | None -> node)
-         | _ -> node)
-       e)
-
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
@@ -1464,8 +1527,8 @@ and run_query ctx (q : A.query) : (result_set, Errors.t) result =
                   not have the same number of result columns")
           else
             let keyset rows =
-              let t = Hashtbl.create 16 in
-              List.iter (fun r -> Hashtbl.replace t (row_key r) ()) rows;
+              let t = Key_tbl.create 16 in
+              List.iter (fun r -> Key_tbl.replace t (row_key r) ()) rows;
               t
             in
             let rows =
@@ -1475,12 +1538,12 @@ and run_query ctx (q : A.query) : (result_set, Errors.t) result =
               | A.Intersect ->
                   let inb = keyset rb.rs_rows in
                   dedup_rows
-                    (List.filter (fun r -> Hashtbl.mem inb (row_key r)) ra.rs_rows)
+                    (List.filter (fun r -> Key_tbl.mem inb (row_key r)) ra.rs_rows)
               | A.Except ->
                   let inb = keyset rb.rs_rows in
                   dedup_rows
                     (List.filter
-                       (fun r -> not (Hashtbl.mem inb (row_key r)))
+                       (fun r -> not (Key_tbl.mem inb (row_key r)))
                        ra.rs_rows)
             in
             if tracing ctx then

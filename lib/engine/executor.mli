@@ -78,10 +78,21 @@ val result_contains : result_set -> Value.t list -> bool
 
 val eval_env : ctx -> Eval.env
 
-(** Canonical multiset key of a result row: the same encoding the engine
-    uses for DISTINCT and the compound operators, so numeric values that
-    compare equal (e.g. [1] and [1.0]) collapse to the same key. *)
-val row_key : Value.t array -> string
+(** Canonical multiset key of a result row: the row identity the engine
+    uses for DISTINCT, GROUP BY and the compound operators.  Numeric
+    values that compare equal share a key (exact-integer reals and
+    booleans key as integers, e.g. [1], [1.0] and [TRUE]; other reals
+    key by [string_of_float]); every other value keys by its kind and
+    contents, column by column. *)
+type row_key
+
+val row_key : Value.t array -> row_key
+val equal_row_key : row_key -> row_key -> bool
+
+(** A total order consistent with {!equal_row_key}. *)
+val compare_row_key : row_key -> row_key -> int
+
+module Key_tbl : Hashtbl.S with type key = row_key
 
 val run_query : ctx -> Sqlast.Ast.query -> (result_set, Errors.t) result
 
@@ -163,8 +174,57 @@ val output_columns :
     aggregate HAVING). *)
 val select_has_agg : Sqlast.Ast.select -> bool
 
+(** Expand a view referenced in FROM: run its query with [run], apply
+    the injected pushdown defect (which consults the referencing scan's
+    [where]), and record the VIEW operator event ([block_size] as in
+    {!scan_rows}).  Returns the view's columns (untyped, binary-collated)
+    and rows. *)
+val expand_view :
+  ctx ->
+  run:(ctx -> Sqlast.Ast.query -> (result_set, Errors.t) result) ->
+  where:Sqlast.Ast.expr option ->
+  alias:string ->
+  ?block_size:int ->
+  Storage.Catalog.view ->
+  ((string * Datatype.t * Collation.t) array * Value.t array list, Errors.t)
+  result
+
+(** Partition a SELECT's filtered tuples into groups: first-seen group
+    order, input order within a group, keys compared under {!row_key}.
+    [key_of exprs] prepares the per-tuple evaluator of the grouping
+    expressions (which the injected postgres inheritance defect may
+    narrow).  Without GROUP BY everything is one group, even when
+    empty. *)
+val group_rows :
+  ctx ->
+  Sqlast.Ast.select ->
+  key_of:
+    (Sqlast.Ast.expr list -> 'a -> (Value.t array, Errors.t) result) ->
+  'a list ->
+  ('a list list, Errors.t) result
+
+(** The aggregation operator over [groups]: per group, HAVING, then the
+    select items and ORDER BY keys with every aggregate replaced by its
+    value over the group.  Returns the kept groups' rows with their sort
+    keys.  The pipeline supplies evaluation: [values g a] evaluates [a]
+    once per tuple of [g], in order; [eval g e] and [project g items]
+    evaluate an expression and an item list against the group's
+    representative (its first tuple, or no tuple for an empty group). *)
+val aggregate :
+  ctx ->
+  Sqlast.Ast.select ->
+  'g list list ->
+  values:('g list -> Sqlast.Ast.expr -> (Value.t list, Errors.t) result) ->
+  eval:('g list -> Sqlast.Ast.expr -> (Value.t, Errors.t) result) ->
+  project:
+    ('g list -> Sqlast.Ast.select_item list -> (Value.t array, Errors.t) result) ->
+  ((Value.t array * Value.t list) list, Errors.t) result
+
 (** First-occurrence deduplication under {!row_key}. *)
 val dedup_rows : Value.t array list -> Value.t array list
+
+(** First-occurrence deduplication of any items under a row key. *)
+val dedup_by : key:('a -> row_key) -> 'a list -> 'a list
 
 val tracing : ctx -> bool
 

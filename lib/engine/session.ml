@@ -40,7 +40,7 @@ let pp_exec_result fmt = function
 
 let create ?(seed = 42) ?(bugs = Bug.empty_set) ?coverage
     ?(telemetry = Telemetry.noop) ?(recorder = Trace.noop)
-    ?(backend = Exec_backend.Interpreted) dialect =
+    ?(backend = Exec_backend.Compiled) dialect =
   {
     dialect;
     catalog = Storage.Catalog.create ();
@@ -199,7 +199,7 @@ let execute_raw t (stmt : A.stmt) : (exec_result, Errors.t) result =
       let* () = Maintenance.reindex c target in
       Ok Done
   | A.Create_view { name; query } ->
-      let* () = Ddl.create_view c name query in
+      let* () = Ddl.create_view ~run:t.run c name query in
       Ok Done
   | A.Drop_view { if_exists; name } ->
       let* () = Ddl.drop_view c ~if_exists name in

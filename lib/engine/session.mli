@@ -32,10 +32,11 @@ val create :
     runner) records statements, pivots and expressions on the same
     ring.
 
-    [backend] (default {!Exec_backend.Interpreted}) selects the
+    [backend] (default {!Exec_backend.Compiled}) selects the
     execution backend every query in this session runs under —
     [Select_stmt], {!query}, {!query_forced} and [EXPLAIN ANALYZE] all
-    route through it. *)
+    route through it.  Pass {!Exec_backend.Interpreted} for the
+    reference engine. *)
 
 val dialect : t -> Dialect.t
 

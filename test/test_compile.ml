@@ -5,19 +5,26 @@
      constructor (literals, columns, unary/binary operators, IS forms,
      BETWEEN, IN, LIKE/GLOB, CAST, functions, CASE, COLLATE, misused
      aggregates) produces the same value or the same error under both
-     backends, as a projection and as a WHERE predicate, across
-     dialects and with expression-level bugs injected;
+     backends, as a projection, a WHERE predicate, an aggregate
+     argument, a GROUP BY key and a HAVING condition, across dialects
+     and with expression-level bugs injected;
+   - views and aggregation: view expansion and GROUP BY / aggregate /
+     HAVING shapes agree, with their injected defects on;
+   - row identity: DISTINCT, UNION and GROUP BY keep rows apart that
+     differ only inside their text;
    - coverage parity: a compiled run fires the identical coverage
      points with identical multiplicity;
    - 1,000-seed equivalence sweep: on generated databases the two
      backends return identical result multisets (columns, rows, order)
      for a battery of scans, filters, DISTINCT/ORDER BY/LIMIT
-     pipelines, compounds and VALUES;
+     pipelines, aggregates, GROUP BY/HAVING, views, compounds and
+     VALUES;
    - campaign neutrality: [Runner.run_round] and [Campaign.run] produce
      identical statistics and identical bug reports whichever backend
      the config selects — for the bug-free engine and for every
      injected bug in the catalog;
-   - backend API: name/of_name round-trips and session routing. *)
+   - backend API: name/of_name round-trips, session routing, and the
+     compiled default running aggregates and views. *)
 
 open Sqlval
 module A = Sqlast.Ast
@@ -55,8 +62,14 @@ let show_result = function
 (* observational equality of the two backends on one query; [compare]
    (not [=]) so NaN-carrying rows still count as equal *)
 let same_result name ctx q =
-  let a = Ex.run_query ctx q in
-  let b = Engine.Compile.run_query ctx q in
+  let run f =
+    match f ctx q with
+    | r -> r
+    | exception Engine.Errors.Crash m ->
+        Error (Engine.Errors.make Engine.Errors.Internal_error ("crash: " ^ m))
+  in
+  let a = run Ex.run_query in
+  let b = run Engine.Compile.run_query in
   match (a, b) with
   | Ok ra, Ok rb ->
       if
@@ -75,7 +88,7 @@ let same_result name ctx q =
            (show_result a) (show_result b))
 
 let select ?(distinct = false) ?(items = [ A.Star ]) ?from ?where
-    ?(order_by = []) ?limit ?offset () =
+    ?(group_by = []) ?having ?(order_by = []) ?limit ?offset () =
   A.Q_select
     {
       A.sel_distinct = distinct;
@@ -85,8 +98,8 @@ let select ?(distinct = false) ?(items = [ A.Star ]) ?from ?where
         | Some f -> f
         | None -> [ A.F_table { name = "t0"; alias = None } ]);
       sel_where = where;
-      sel_group_by = [];
-      sel_having = None;
+      sel_group_by = group_by;
+      sel_having = having;
       sel_order_by = order_by;
       sel_limit = limit;
       sel_offset = offset;
@@ -233,6 +246,8 @@ let expr_battery =
           A.In_list { negated = false; arg = c1; list = [ s "abc"; c3 ] })));
   ]
 
+let count_star = A.Agg (A.A_count_star, None)
+
 let queries_for e =
   [
     select ~items:[ A.Sel_expr (e, Some "r") ] ();
@@ -240,6 +255,23 @@ let queries_for e =
     select ~items:[ A.Sel_expr (e, None) ] ~where:(e)
       ~order_by:[ (e, A.Desc) ]
       ();
+    (* the expression under every aggregate, over the whole table *)
+    select
+      ~items:
+        (List.map
+           (fun f -> A.Sel_expr (A.Agg (f, Some e), None))
+           [ A.A_count; A.A_sum; A.A_avg; A.A_min; A.A_max; A.A_total ]
+        @ [ A.Sel_expr (count_star, None) ])
+      ();
+    (* as a grouping key, with HAVING and aggregate sort keys *)
+    select
+      ~items:[ A.Sel_expr (e, None); A.Sel_expr (count_star, Some "n") ]
+      ~group_by:[ e ]
+      ~having:(A.Binary (A.Ge, count_star, i 1))
+      ~order_by:[ (A.Agg (A.A_max, Some c0), A.Desc); (e, A.Asc) ]
+      ();
+    (* as HAVING over one all-rows group *)
+    select ~items:[ A.Sel_expr (A.Agg (A.A_min, Some c1), None) ] ~having:e ();
   ]
 
 let test_expr_battery dialect ?(bugs = Engine.Bug.empty_set) () =
@@ -374,8 +406,31 @@ let sweep_queries session =
               ( A.Except,
                 select ~from ~items:[ A.Sel_expr (c, None) ] (),
                 A.Q_values [ [ A.lit v ] ] );
+            base
+              ~items:
+                [
+                  A.Sel_expr (count_star, None);
+                  A.Sel_expr (A.Agg (A.A_min, Some c), None);
+                  A.Sel_expr (A.Agg (A.A_sum, Some c), None);
+                ]
+              ~where:(A.Binary (A.Gt, c, A.lit v))
+              ();
+            base
+              ~items:[ A.Sel_expr (c, None); A.Sel_expr (count_star, None) ]
+              ~group_by:[ c ]
+              ~having:(A.Binary (A.Ge, count_star, i 1))
+              ~order_by:[ (c, A.Asc) ]
+              ();
           ])
     tables
+  @ List.concat_map
+      (fun (name, _) ->
+        let from = [ A.F_table { name; alias = None } ] in
+        [
+          select ~from ();
+          select ~from ~where:(A.Binary (A.Eq, i 1, i 1)) ();
+        ])
+      (Pqs.Schema_info.views_of_session session)
   @ [
       A.Q_values [ [ i 1; s "a" ]; [ A.null_lit; s "b" ] ];
       select ~from:[] ~items:[ A.Sel_expr (A.Binary (A.Add, i 1, i 2), None) ]
@@ -454,6 +509,135 @@ let test_campaign_parity () =
   Alcotest.(check bool) "identical reports" true (ra = rb);
   Alcotest.(check bool) "identical merged stats" true (sa = sb)
 
+(* ---------- views and aggregation ---------- *)
+
+(* view expansion and GROUP BY / aggregate / HAVING shapes, with the
+   defects injected at their shared sites, in every dialect *)
+let agg_view_setup =
+  [
+    "CREATE VIEW v0 AS SELECT DISTINCT c1, c3 FROM t0";
+    "CREATE VIEW v1 AS SELECT c0, COUNT(*) AS n FROM t0 GROUP BY c0";
+  ]
+
+let agg_view_queries =
+  [
+    "SELECT * FROM v0";
+    "SELECT * FROM v0 WHERE c1 IS NOT NULL";
+    "SELECT v0.c3, t1.d0 FROM v0, t1 WHERE t1.d0 > 1";
+    "SELECT * FROM v1 WHERE n > 1 ORDER BY c0";
+    "SELECT * FROM t1 LEFT JOIN v0 ON t1.d0 = 1";
+    "SELECT * FROM nope";
+    "SELECT * FROM t1, nope";
+    "SELECT COUNT(*), SUM(c0), AVG(c2), TOTAL(c2), MIN(c1), MAX(c3) FROM t0";
+    "SELECT COUNT(c0), MIN(c0) FROM t0 WHERE c0 > 100";
+    "SELECT c0, COUNT(*) FROM t0 WHERE c0 > 100";
+    "SELECT *, COUNT(*) FROM t0";
+    "SELECT c1, COUNT(*), MAX(c2) FROM t0 GROUP BY c1 ORDER BY c1";
+    "SELECT c1, c3 FROM t0 GROUP BY c1, c3 HAVING COUNT(*) > 1";
+    "SELECT c0 FROM t0 GROUP BY c0 HAVING SUM(c2) < 0 ORDER BY MIN(c2) DESC";
+    "SELECT DISTINCT COUNT(*) FROM t0 GROUP BY c1 LIMIT 2";
+    "SELECT t0.c0, COUNT(*) FROM t0, t1 WHERE t0.c0 = t1.d0 GROUP BY t0.c0";
+    "SELECT MIN(c1 COLLATE NOCASE), MAX(c3) FROM t0";
+    "SELECT SUM(COUNT(c0)) FROM t0";
+    "SELECT c0 FROM t0 GROUP BY c0 HAVING nope > 1";
+    "SELECT * FROM (SELECT c1, COUNT(*) AS n FROM t0 GROUP BY c1) AS s \
+     WHERE s.n >= 1";
+    "SELECT c1 FROM v0 UNION SELECT c1 FROM t0 GROUP BY c1";
+  ]
+
+let test_views_and_aggregates () =
+  List.iter
+    (fun (dialect, bugs) ->
+      let session =
+        fixture ~bugs:(Engine.Bug.set_of_list bugs) dialect
+      in
+      List.iter (exec session) agg_view_setup;
+      let ctx = Engine.Session.ctx session in
+      List.iter
+        (fun sql ->
+          match parse_sql sql with
+          | A.Select_stmt q ->
+              same_result
+                (Printf.sprintf "%s %s" (Dialect.name dialect) sql)
+                ctx q
+          | _ -> Alcotest.fail sql)
+        agg_view_queries)
+    [
+      (Dialect.Sqlite_like, []);
+      (Dialect.Sqlite_like, [ Engine.Bug.Sq_view_distinct_pushdown ]);
+      (Dialect.Sqlite_like, [ Engine.Bug.Sq_agg_collate_crash ]);
+      (Dialect.Mysql_like, []);
+      (Dialect.Postgres_like, []);
+    ];
+  (* postgres Listing 15: grouping over an inherited table *)
+  List.iter
+    (fun bugs ->
+      let session =
+        Engine.Session.create ~bugs:(Engine.Bug.set_of_list bugs)
+          Dialect.Postgres_like
+      in
+      List.iter (exec session)
+        [
+          "CREATE TABLE p0(c0 TEXT, c1 TEXT PRIMARY KEY, c2 INT)";
+          "CREATE TABLE k0(c0 TEXT, c1 TEXT) INHERITS (p0)";
+          "INSERT INTO k0 VALUES ('a', '_', 1), ('b', '_', 2)";
+          "INSERT INTO p0 VALUES ('c', 'x', 3)";
+        ];
+      let ctx = Engine.Session.ctx session in
+      List.iter
+        (fun sql ->
+          match parse_sql sql with
+          | A.Select_stmt q -> same_result sql ctx q
+          | _ -> Alcotest.fail sql)
+        [
+          "SELECT p0.c0, p0.c1, p0.c2 FROM p0 GROUP BY p0.c0, p0.c1, p0.c2";
+          "SELECT c1, COUNT(*) FROM p0 GROUP BY c1";
+        ])
+    [ []; [ Engine.Bug.Pg_inherit_group_by_dedup ] ]
+
+(* rows whose text holds the old string key's separator must stay
+   distinct under DISTINCT, UNION and GROUP BY *)
+let test_row_identity () =
+  let session = fixture Dialect.Sqlite_like in
+  let ctx = Engine.Session.ctx session in
+  let r1 = [ s "a\x00t:b"; s "c" ] and r2 = [ s "a"; s "b\x00t:c" ] in
+  let sub = A.Q_compound (A.Union_all, A.Q_values [ r1 ], A.Q_values [ r2 ]) in
+  let from = [ A.F_sub { sub; alias = "s" } ] in
+  let queries =
+    [
+      ("UNION", A.Q_compound (A.Union, A.Q_values [ r1 ], A.Q_values [ r2 ]));
+      ("DISTINCT", select ~distinct:true ~from ());
+      ( "GROUP BY",
+        select ~from
+          ~items:[ A.Sel_expr (count_star, None) ]
+          ~group_by:[ A.col "column1"; A.col "column2" ]
+          () );
+    ]
+  in
+  List.iter
+    (fun (label, q) ->
+      List.iter
+        (fun (backend, run) ->
+          match run ctx q with
+          | Ok rs ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s keeps both rows (%s)" label backend)
+                2 (List.length rs.Ex.rs_rows)
+          | Error e -> Alcotest.fail (Engine.Errors.show e))
+        [ ("interpreted", Ex.run_query); ("compiled", Engine.Compile.run_query) ])
+    queries;
+  Alcotest.(check bool) "1 and 1.0 and TRUE share a key" true
+    (Ex.equal_row_key
+       (Ex.row_key [| Value.Int 1L |])
+       (Ex.row_key [| Value.Real 1.0 |])
+    && Ex.equal_row_key
+         (Ex.row_key [| Value.Real 1.0 |])
+         (Ex.row_key [| Value.Bool true |]));
+  Alcotest.(check bool) "text and blob keys differ" false
+    (Ex.equal_row_key
+       (Ex.row_key [| Value.Text "x" |])
+       (Ex.row_key [| Value.Blob "x" |]))
+
 (* ---------- backend API ---------- *)
 
 let test_backend_api () =
@@ -472,9 +656,9 @@ let test_backend_api () =
   in
   Alcotest.(check bool) "session remembers its backend" true
     (Engine.Session.backend session = Engine.Exec_backend.Compiled);
-  Alcotest.(check bool) "default is interpreted" true
+  Alcotest.(check bool) "default is compiled" true
     (Engine.Session.backend (Engine.Session.create Dialect.Sqlite_like)
-    = Engine.Exec_backend.Interpreted)
+    = Engine.Exec_backend.Compiled)
 
 (* a compiled session produces working results end to end, including
    EXPLAIN ANALYZE batch annotations *)
@@ -518,6 +702,40 @@ let test_compiled_session () =
            lines)
   | _ -> Alcotest.fail "EXPLAIN ANALYZE failed"
 
+(* a default session runs GROUP BY/HAVING and view queries on the
+   compiled pipeline: their operator events carry batch counts *)
+let test_default_compiled_operators () =
+  let session = fixture Dialect.Sqlite_like in
+  List.iter (exec session) agg_view_setup;
+  let contains l sub =
+    let ll = String.length l and ls = String.length sub in
+    let rec go i = i + ls <= ll && (String.sub l i ls = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (sql, op) ->
+      match Engine.Session.execute session (parse_sql ("EXPLAIN ANALYZE " ^ sql)) with
+      | Ok (Engine.Session.Rows rs) ->
+          let lines =
+            List.map (function [| Value.Text l |] -> l | _ -> "?") rs.Ex.rs_rows
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s has a batched %s event in: %s" sql op
+               (String.concat " | " lines))
+            true
+            (List.exists
+               (fun l ->
+                 String.length l >= String.length op
+                 && String.sub l 0 (String.length op) = op
+                 && contains l "batches=")
+               lines)
+      | _ -> Alcotest.fail ("EXPLAIN ANALYZE failed: " ^ sql))
+    [
+      ("SELECT c1, COUNT(*) FROM t0 GROUP BY c1 HAVING COUNT(*) > 1", "AGGREGATE");
+      ("SELECT * FROM v0 WHERE c3 IS NULL", "VIEW");
+      ("SELECT * FROM v1", "AGGREGATE");
+    ]
+
 let () =
   Alcotest.run "compile"
     [
@@ -528,6 +746,12 @@ let () =
           Alcotest.test_case "all dialects" `Quick test_dialect_exprs;
           Alcotest.test_case "injected expression bugs" `Quick test_bug_exprs;
           Alcotest.test_case "coverage parity" `Quick test_coverage_parity;
+        ] );
+      ( "queries",
+        [
+          Alcotest.test_case "views and aggregates" `Quick
+            test_views_and_aggregates;
+          Alcotest.test_case "row identity" `Quick test_row_identity;
         ] );
       ( "sweep",
         [
@@ -547,5 +771,7 @@ let () =
             test_backend_api;
           Alcotest.test_case "compiled session end to end" `Quick
             test_compiled_session;
+          Alcotest.test_case "default session compiles aggregates and views"
+            `Quick test_default_compiled_operators;
         ] );
     ]

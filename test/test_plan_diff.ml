@@ -139,9 +139,20 @@ let where_shapes session name =
         Some (A.Binary (A.Gt, A.col c0, A.Lit v));
       ]
 
+(* a result set as a canonical multiset: its rows sorted by row key,
+   compared under row-key equality *)
 let canon (rs : Engine.Executor.result_set) =
-  List.sort String.compare
-    (List.map Engine.Executor.row_key rs.Engine.Executor.rs_rows)
+  List.sort
+    (fun a b ->
+      Engine.Executor.(compare_row_key (row_key a) (row_key b)))
+    rs.Engine.Executor.rs_rows
+
+let rows_testable =
+  Alcotest.testable
+    (Fmt.Dump.list (fun fmt row ->
+         Fmt.Dump.array Fmt.string fmt (Array.map Sqlval.Value.show row)))
+    (List.equal (fun a b ->
+         Engine.Executor.(equal_row_key (row_key a) (row_key b))))
 
 (* ---------- enumeration properties ---------- *)
 
@@ -237,7 +248,7 @@ let test_forced_equals_default () =
               match Engine.Session.query_forced session ~force q with
               | Error e -> Alcotest.fail (Engine.Errors.show e)
               | Ok forced ->
-                  Alcotest.(check (list string))
+                  Alcotest.check rows_testable
                     (Printf.sprintf "[%s] agrees on %s"
                        (Engine.Executor.show_forced force)
                        sql)
