@@ -48,10 +48,9 @@ telemetry:
 trace:
 	$(DUNE) exec bench/main.exe -- quick trace
 
-# Coverage-guided generation gate: per-bug blind vs guided time to first
-# detection (guided must re-detect everything blind does — guidance is
-# strictly additive), plus the frontier-accounting overhead estimate
-# (<5% of a blind campaign).  Writes BENCH_frontier.json.
+# Frontier accounting overhead: the cost of fingerprinting every query
+# and folding each round's points, estimated in isolation against the
+# wall of a campaign (budget <5%).  Writes BENCH_frontier.json.
 frontier:
 	$(DUNE) exec bench/main.exe -- quick frontier
 

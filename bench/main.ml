@@ -207,7 +207,7 @@ let run_target b = function
   | "trace" ->
       Experiments.Trace_bench.run ~databases:(b.throughput_queries / 3) ()
   | "frontier" ->
-      Experiments.Frontier_bench.run ~budget:(b.throughput_queries / 5)
+      Experiments.Frontier_bench.run
         ~overhead_databases:(b.throughput_queries / 12) ()
   | "plandiff" ->
       Experiments.Plandiff_bench.run ~databases:(b.throughput_queries / 3) ()

@@ -55,31 +55,26 @@ let backend_arg =
            reference); findings are always confirmed against the \
            interpreted engine")
 
-(* every optional oracle contributes one flag, derived from the registry
-   so a new oracle needs no CLI edit *)
+(* every optional oracle contributes one flag, derived from the oracle
+   table so a new oracle needs no CLI edit *)
 let oracle_flags =
-  let entries =
-    List.filter
-      (fun e -> e.Pqs.Oracle.Registry.reg_flag <> None)
-      (Pqs.Oracle.Registry.all ())
-  in
   List.fold_left
-    (fun acc e ->
-      let flag_name = Option.get e.Pqs.Oracle.Registry.reg_flag in
+    (fun acc (e : Pqs.Oracle_table.entry) ->
       let arg =
-        Arg.(
-          value & flag
-          & info [ flag_name ] ~doc:e.Pqs.Oracle.Registry.reg_doc)
+        Arg.(value & flag & info (Option.to_list e.flag) ~doc:e.doc)
       in
       Term.(
         const (fun selected enabled ->
             if enabled then selected @ [ e ] else selected)
         $ acc $ arg))
-    (Term.const []) entries
+    (Term.const [])
+    (List.filter
+       (fun (e : Pqs.Oracle_table.entry) -> e.flag <> None)
+       Pqs.Oracle_table.all)
 
 let oracles_of selected =
   Pqs.Oracle.defaults
-  @ List.map (fun e -> e.Pqs.Oracle.Registry.reg_make ()) selected
+  @ List.map (fun (e : Pqs.Oracle_table.entry) -> e.make ()) selected
 
 let seed_arg =
   Arg.(value & opt int 7 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"random seed")
@@ -140,24 +135,21 @@ let list_bugs_cmd =
 
 let list_oracles () =
   List.iter
-    (fun (e : Pqs.Oracle.Registry.entry) ->
-      Printf.printf "%-12s %-9s %-13s %s\n" e.Pqs.Oracle.Registry.reg_name
-        (if e.Pqs.Oracle.Registry.reg_default then "default"
-         else
-           match e.Pqs.Oracle.Registry.reg_flag with
-           | Some f -> "--" ^ f
-           | None -> "-")
-        (match e.Pqs.Oracle.Registry.reg_recheck with
-        | Pqs.Oracle.Registry.Not_recheckable -> "no-recheck"
-        | Pqs.Oracle.Registry.Replay_outcome -> "replay"
-        | Pqs.Oracle.Registry.Custom _ -> "custom")
-        e.Pqs.Oracle.Registry.reg_doc)
-    (Pqs.Oracle.Registry.all ())
+    (fun (e : Pqs.Oracle_table.entry) ->
+      Printf.printf "%-12s %-9s %-13s %s\n" e.name
+        (if e.default then "default"
+         else match e.flag with Some f -> "--" ^ f | None -> "-")
+        (match e.recheck with
+        | Pqs.Oracle_table.Not_recheckable -> "no-recheck"
+        | Pqs.Oracle_table.Replay_outcome -> "replay"
+        | Pqs.Oracle_table.Custom _ -> "custom")
+        e.doc)
+    Pqs.Oracle_table.all
 
 let list_oracles_cmd =
   Cmd.v
     (Cmd.info "list-oracles"
-       ~doc:"list the oracle registry (name, flag, recheck strategy)")
+       ~doc:"list the oracle table (name, flag, recheck strategy)")
     Term.(
       const (fun () ->
           list_oracles ();
@@ -332,7 +324,7 @@ let funnel_line tele cov (c : Pqs.Campaign.t) =
     *. Frontier.fraction ~universe c.Pqs.Campaign.stats.Pqs.Stats.frontier)
 
 let campaign_run dialect seed databases domains trace chrome_trace all_bugs
-    extra_oracles backend metrics metrics_every bundles trace_sample guided
+    extra_oracles backend metrics metrics_every bundles trace_sample
     frontier_json =
   let bugs =
     if all_bugs then Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect)
@@ -345,7 +337,7 @@ let campaign_run dialect seed databases domains trace chrome_trace all_bugs
   let coverage = Engine.Coverage.create () in
   let config =
     Pqs.Runner.Config.make ~bugs ~oracles ~telemetry ~coverage ~backend
-      ~guided ?bundle_dir:bundles ~trace_sample dialect
+      ?bundle_dir:bundles ~trace_sample dialect
   in
   let c =
     Pqs.Campaign.run ?domains ?trace ?chrome_trace ?frontier_json
@@ -381,11 +373,11 @@ let campaign_run dialect seed databases domains trace chrome_trace all_bugs
   if Pqs.Campaign.reports c = [] then 0 else 1
 
 let campaign dialect seed databases domains trace chrome_trace all_bugs
-    extra_oracles backend metrics metrics_every bundles trace_sample guided
+    extra_oracles backend metrics metrics_every bundles trace_sample
     frontier_json =
   try
     campaign_run dialect seed databases domains trace chrome_trace all_bugs
-      extra_oracles backend metrics metrics_every bundles trace_sample guided
+      extra_oracles backend metrics metrics_every bundles trace_sample
       frontier_json
   with Sys_error msg ->
     Printf.eprintf "error: %s\n" msg;
@@ -426,15 +418,6 @@ let campaign_cmd =
       & info [ "all-bugs" ]
           ~doc:"enable every catalog bug of the dialect (default: none)")
   in
-  let guided =
-    Arg.(
-      value & flag
-      & info [ "guided" ]
-          ~doc:
-            "coverage-guided generation: aim each pivot's queries at cold \
-             frontier points instead of sampling clause shapes blind \
-             (results then depend on the shard assignment)")
-  in
   let frontier_json =
     Arg.(
       value
@@ -464,8 +447,7 @@ let campaign_cmd =
     Term.(
       const campaign $ dialect_arg $ seed_arg $ databases $ domains $ trace
       $ chrome_trace $ all_bugs $ oracle_flags $ backend_arg $ metrics_arg
-      $ metrics_every $ bundles_arg $ trace_sample_arg $ guided
-      $ frontier_json)
+      $ metrics_every $ bundles_arg $ trace_sample_arg $ frontier_json)
 
 (* ---- fleet ---- *)
 
@@ -487,7 +469,7 @@ let print_fleet_findings agg =
 
 let fleet_run dialect seed databases workers chunk heartbeat_every stall_after
     export_every dir all_bugs extra_oracles backend bundles trace_sample
-    guided quiet chaos =
+    quiet chaos =
   let bugs =
     if all_bugs then Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect)
     else Engine.Bug.empty_set
@@ -497,7 +479,7 @@ let fleet_run dialect seed databases workers chunk heartbeat_every stall_after
      heartbeats; the supervisor merges them into the fleet export *)
   let telemetry = Telemetry.create () in
   let config =
-    Pqs.Runner.Config.make ~bugs ~oracles ~telemetry ~backend ~guided
+    Pqs.Runner.Config.make ~bugs ~oracles ~telemetry ~backend
       ?bundle_dir:bundles ~trace_sample dialect
   in
   let fc =
@@ -550,11 +532,11 @@ let fleet_run dialect seed databases workers chunk heartbeat_every stall_after
 
 let fleet dialect seed databases workers chunk heartbeat_every stall_after
     export_every dir all_bugs extra_oracles backend bundles trace_sample
-    guided quiet chaos =
+    quiet chaos =
   try
     fleet_run dialect seed databases workers chunk heartbeat_every stall_after
       export_every dir all_bugs extra_oracles backend bundles trace_sample
-      guided quiet chaos
+      quiet chaos
   with Sys_error msg ->
     Printf.eprintf "error: %s\n" msg;
     2
@@ -614,14 +596,6 @@ let fleet_cmd =
       & info [ "all-bugs" ]
           ~doc:"enable every catalog bug of the dialect (default: none)")
   in
-  let guided =
-    Arg.(
-      value & flag
-      & info [ "guided" ]
-          ~doc:
-            "coverage-guided generation (each shard's bias is local to its \
-             lease, so results depend on the lease assignment)")
-  in
   let quiet =
     Arg.(
       value & flag
@@ -645,8 +619,8 @@ let fleet_cmd =
     Term.(
       const fleet $ dialect_arg $ seed_arg $ databases $ workers $ chunk
       $ heartbeat_every $ stall_after $ export_every $ dir $ all_bugs
-      $ oracle_flags $ backend_arg $ bundles_arg $ trace_sample_arg $ guided
-      $ quiet $ chaos)
+      $ oracle_flags $ backend_arg $ bundles_arg $ trace_sample_arg $ quiet
+      $ chaos)
 
 (* ---- top ---- *)
 

@@ -14,8 +14,8 @@
      provenance-tracking fixpoint rewriter.
 
    The passes are pure and engine-independent: PQS wires them into the
-   oracle pipeline (lib/core/lint.ml, lib/core/const_opt.ml) and the
-   sqlancer CLI exposes them via --lint and the lint subcommand. *)
+   loop (lib/core/lint.ml, lib/core/const_opt.ml) and the sqlancer CLI
+   exposes them via the lint subcommand. *)
 
 module Diagnostic = Diagnostic
 module Nullability = Nullability

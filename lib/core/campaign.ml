@@ -229,14 +229,10 @@ let run ?domains ?trace ?chrome_trace ?frontier_json ?metrics_every
     let config = Runner.Config.with_telemetry tele config in
     (* one ring per worker, recycled across its rounds by begin_round *)
     let recorder = Runner.recorder_for config in
-    (* worker-local guided-bias state: each shard learns from its own
-       earlier rounds (sharing across domains would race; per-seed results
-       stay deterministic per shard assignment) *)
-    let bias = ref Frontier.empty in
     List.map
       (fun s ->
         let started = Telemetry.Clock.now () -. t0 in
-        let round = Runner.run_round ~recorder ~bias config ~db_seed:s in
+        let round = Runner.run_round ~recorder config ~db_seed:s in
         let wall = Telemetry.Clock.now () -. t0 -. started in
         Telemetry.observe tele "pqs_round_seconds" wall;
         Telemetry.inc tele "pqs_rounds_total";

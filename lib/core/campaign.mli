@@ -90,11 +90,6 @@ val statements_per_sec : t -> float
     [pqs_frontier_first_hit_seconds] time-to-first-hit histogram labeled
     by point group ([shape]/[expr]/[plan]).
 
-    With [Runner.Config.guided] each worker threads its own bias frontier
-    through its shard's rounds, so guided results depend on the shard
-    assignment (unlike blind campaigns, which stay domain-count
-    independent).
-
     [Config.seed] is ignored — the range provides the seeds. *)
 val run :
   ?domains:int ->

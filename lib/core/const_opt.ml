@@ -25,7 +25,7 @@
    or strengthening it away from the pivot row legitimately changes the
    output.
 
-   Campaign neutrality mirrors lint and plan-diff: the re-execution goes
+   Campaign neutrality mirrors plan-diff: the re-execution goes
    through {!Engine.Session.query_forced} (no statement counting, no
    coverage hits, no randomness) and the oracle is appended after
    [Oracle.defaults], so the paper's oracles keep report priority. *)
@@ -398,68 +398,53 @@ let sweep ?(queries_per_seed = 3) ?(bugs = Engine.Bug.empty_set)
    query's FROM tables (the bundle does not record which row was the
    pivot): reproduced iff some assignment makes the original query
    nonempty and its simplified variant empty. *)
-let () =
-  let rec from_tables = function
-    | A.F_table { name; _ } -> [ name ]
-    | A.F_join { left; right; _ } -> from_tables left @ from_tables right
-    | A.F_sub _ -> []
-  in
-  let recheck ~dialect ~bugs ~oracle:_ stmts =
-    let session = Engine.Session.create ~bugs dialect in
-    (try
-       List.iter
-         (fun stmt ->
-           match Engine.Session.execute session stmt with
-           | Ok _ | Error _ -> ())
-         stmts
-     with Engine.Errors.Crash _ -> ());
-    match List.rev stmts with
-    | A.Select_stmt
-        (A.Q_compound (A.Intersect, A.Q_values _, A.Q_select sel) as q)
-      :: _ ->
-        let names =
-          List.concat_map from_tables sel.A.sel_from
-          |> List.map String.lowercase_ascii
-        in
-        let infos =
-          Schema_info.tables_of_session session
-          |> List.filter (fun (ti : Schema_info.table_info) ->
-                 List.mem
-                   (String.lowercase_ascii ti.Schema_info.ti_name)
-                   names)
-        in
-        let candidates =
-          List.fold_left
-            (fun acc (ti : Schema_info.table_info) ->
-              let rows =
-                Schema_info.rows_of_table session ti.Schema_info.ti_name
-              in
-              List.concat_map
-                (fun pivot -> List.map (fun r -> (ti, r) :: pivot) rows)
-                acc)
-            [ [] ] infos
-          |> List.map List.rev
-        in
-        let rec take n = function
-          | [] -> []
-          | _ when n <= 0 -> []
-          | x :: rest -> x :: take (n - 1) rest
-        in
-        List.exists
-          (fun pivot -> reproduce session ~pivot q)
-          (take 64 candidates)
-    | _ -> false
-  in
-  Oracle.Registry.register
-    {
-      Oracle.Registry.reg_name = "const_opt";
-      reg_doc =
-        "add the constant-optimization (CODDTest) oracle: fold the pivot \
-         row's values into each positive containment query as constants, \
-         simplify, and require the pivot row to survive";
-      reg_flag = Some "const-opt";
-      reg_default = false;
-      reg_kinds = [ Bug_report.Const_opt ];
-      reg_make = (fun () -> oracle ());
-      reg_recheck = Oracle.Registry.Custom recheck;
-    }
+let rec from_tables = function
+  | A.F_table { name; _ } -> [ name ]
+  | A.F_join { left; right; _ } -> from_tables left @ from_tables right
+  | A.F_sub _ -> []
+
+let recheck ~dialect ~bugs stmts =
+  let session = Engine.Session.create ~bugs dialect in
+  (try
+     List.iter
+       (fun stmt ->
+         match Engine.Session.execute session stmt with
+         | Ok _ | Error _ -> ())
+       stmts
+   with Engine.Errors.Crash _ -> ());
+  match List.rev stmts with
+  | A.Select_stmt
+      (A.Q_compound (A.Intersect, A.Q_values _, A.Q_select sel) as q)
+    :: _ ->
+      let names =
+        List.concat_map from_tables sel.A.sel_from
+        |> List.map String.lowercase_ascii
+      in
+      let infos =
+        Schema_info.tables_of_session session
+        |> List.filter (fun (ti : Schema_info.table_info) ->
+               List.mem
+                 (String.lowercase_ascii ti.Schema_info.ti_name)
+                 names)
+      in
+      let candidates =
+        List.fold_left
+          (fun acc (ti : Schema_info.table_info) ->
+            let rows =
+              Schema_info.rows_of_table session ti.Schema_info.ti_name
+            in
+            List.concat_map
+              (fun pivot -> List.map (fun r -> (ti, r) :: pivot) rows)
+              acc)
+          [ [] ] infos
+        |> List.map List.rev
+      in
+      let rec take n = function
+        | [] -> []
+        | _ when n <= 0 -> []
+        | x :: rest -> x :: take (n - 1) rest
+      in
+      List.exists
+        (fun pivot -> reproduce session ~pivot q)
+        (take 64 candidates)
+  | _ -> false

@@ -49,6 +49,16 @@ val oracle : ?sample_every:int -> unit -> Oracle.t
     15% budget ([make constopt]).  Pass [~sample_every:1] to check every
     eligible statement (the fixture tests do). *)
 
+(** The reducer's manifestation check for a const-opt report: replay the
+    script, then try candidate pivot assignments of the final containment
+    query's FROM tables (at most 64); reproduced iff one makes the
+    original query nonempty and its simplified variant empty. *)
+val recheck :
+  dialect:Sqlval.Dialect.t ->
+  bugs:Engine.Bug.set ->
+  Sqlast.Ast.stmt list ->
+  bool
+
 (** {1 Seed-corpus sweep} *)
 
 type sweep_result = {

@@ -1,15 +1,14 @@
 open Sqlval
 module A = Sqlast.Ast
 
+(* a synthesized SELECT's clause combination, one [shape.*] point *)
 type shape = {
-  sh_tables : int;
   sh_join : [ `Single | `Cross | `Inner | `Left ];
   sh_sub : bool;
   sh_where : int;
   sh_distinct : bool;
   sh_order : bool;
   sh_group : bool;
-  sh_pred : string option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -21,59 +20,12 @@ let join_token = function
   | `Inner -> "inner"
   | `Left -> "left"
 
-let join_of_token = function
-  | "single" -> Some `Single
-  | "cross" -> Some `Cross
-  | "inner" -> Some `Inner
-  | "left" -> Some `Left
-  | _ -> None
-
 let b01 b = if b then 1 else 0
 
 let point_of_shape s =
   Printf.sprintf "shape.j%s.v%d.w%d.d%d.o%d.g%d" (join_token s.sh_join)
-    (b01 s.sh_sub)
-    (max 1 (min 3 s.sh_where))
-    (b01 s.sh_distinct) (b01 s.sh_order) (b01 s.sh_group)
-
-let field prefix s =
-  let n = String.length prefix in
-  if String.length s > n && String.sub s 0 n = prefix then
-    Some (String.sub s n (String.length s - n))
-  else None
-
-let flag prefix s =
-  match field prefix s with
-  | Some "0" -> Some false
-  | Some "1" -> Some true
-  | _ -> None
-
-let shape_of_point p =
-  match String.split_on_char '.' p with
-  | [ "shape"; j; v; w; d; o; g ] -> (
-      match
-        ( Option.bind (field "j" j) join_of_token,
-          flag "v" v,
-          field "w" w,
-          flag "d" d,
-          flag "o" o,
-          flag "g" g )
-      with
-      | Some join, Some sub, Some w, Some d, Some o, Some g
-        when w = "1" || w = "2" || w = "3" ->
-          Some
-            {
-              sh_tables = (match join with `Single -> 1 | _ -> 2);
-              sh_join = join;
-              sh_sub = sub;
-              sh_where = int_of_string w;
-              sh_distinct = d;
-              sh_order = o;
-              sh_group = g;
-              sh_pred = None;
-            }
-      | _ -> None)
-  | _ -> None
+    (b01 s.sh_sub) s.sh_where (b01 s.sh_distinct) (b01 s.sh_order)
+    (b01 s.sh_group)
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprinting                                                       *)
@@ -144,7 +96,6 @@ let shape_of_select (s : A.select) =
     | _ -> `Cross
   in
   {
-    sh_tables = (match join with `Single -> 1 | _ -> 2);
     sh_join = join;
     sh_sub = List.exists from_has_sub s.sel_from;
     sh_where =
@@ -154,7 +105,6 @@ let shape_of_select (s : A.select) =
     sh_distinct = s.sel_distinct;
     sh_order = s.sel_order_by <> [];
     sh_group = s.sel_group_by <> [];
-    sh_pred = None;
   }
 
 let fingerprint (s : A.select) =
@@ -194,14 +144,12 @@ let shape_points =
                         (fun g ->
                           point_of_shape
                             {
-                              sh_tables = (match j with `Single -> 1 | _ -> 2);
                               sh_join = j;
                               sh_sub = v;
                               sh_where = w;
                               sh_distinct = d;
                               sh_order = o;
                               sh_group = g;
-                              sh_pred = None;
                             })
                         gs)
                     [ false; true ])
@@ -242,54 +190,3 @@ let universe dialect =
   shape_points
   @ List.map (fun k -> "expr." ^ k) (expr_kinds dialect)
   @ plan_points dialect
-
-(* ------------------------------------------------------------------ *)
-(* Guided shape planning                                                *)
-
-let coldest_of rng frontier points =
-  match points with
-  | [] -> None
-  | _ ->
-      let m =
-        List.fold_left (fun m p -> min m (Frontier.hits frontier p)) max_int
-          points
-      in
-      Some (Rng.pick rng (List.filter (fun p -> Frontier.hits frontier p = m) points))
-
-let cold_pred ~rng ~dialect frontier =
-  (* aggregates cannot appear in WHERE, so they are not a valid conjunct
-     target (the single-row aggregate extension hits expr.agg through the
-     select list instead) *)
-  expr_kinds dialect
-  |> List.filter (fun k -> k <> "agg")
-  |> List.map (fun k -> "expr." ^ k)
-  |> coldest_of rng frontier
-  |> Option.map (fun p -> String.sub p 5 (String.length p - 5))
-
-let plan ~rng ~dialect frontier =
-  (* Shape guidance is corrective, not a replacement sampler.  Against a
-     mostly cold frontier "aim at the coldest point" degenerates into
-     uniform shape sampling, which hunts strictly worse than the tuned
-     blind distribution — so blind sampling keeps the wheel (and keeps
-     feeding the frontier) while guidance takes over a growing fraction
-     of pivots as coverage warms, when the still-cold points are exactly
-     the rare combinations the blind sampler would take longest to
-     reach.  (Predicate-kind rotation has no such failure mode — the kind
-     vocabulary warms within a few rounds — so {!cold_pred} is worth
-     applying from the start.) *)
-  let total = List.length shape_points in
-  let warm =
-    List.length
-      (List.filter (fun p -> Frontier.hits frontier p > 0) shape_points)
-  in
-  let guide_prob = 0.8 *. float_of_int warm /. float_of_int total in
-  if not (Rng.chance rng guide_prob) then None
-  else
-    match coldest_of rng frontier shape_points with
-  | None -> None
-  | Some point -> (
-      match shape_of_point point with
-      | None -> None
-      | Some s ->
-          let pred = cold_pred ~rng ~dialect frontier in
-          Some { s with sh_pred = pred })

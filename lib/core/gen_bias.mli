@@ -1,5 +1,5 @@
-(** Coverage-guided generation: query-shape fingerprints and frontier-
-    directed shape planning.
+(** The coverage frontier's vocabulary: query-shape fingerprints and the
+    per-dialect universe of reachable points.
 
     The frontier ({!Frontier}) is a vocabulary-agnostic point set; this
     module owns the vocabulary.  Three point groups:
@@ -15,32 +15,9 @@
       [Engine.Coverage] instrument ([plan.full_scan] ... [plan.or_union]).
 
     {!universe} enumerates the points reachable for a dialect — the
-    denominator of the frontier fraction and the candidate set guided
-    generation aims at.  {!plan} inverts a cold [shape.*] point back into
-    a {!shape} that [Gen_query.synthesize ~shape] steers generation
-    toward, and picks a cold [expr.*] kind for one WHERE conjunct. *)
+    denominator of the frontier fraction. *)
 
 open Sqlval
-
-(** Desired query shape, decoded from a [shape.*] frontier point. *)
-type shape = {
-  sh_tables : int;  (** pivot sources the shape wants (1 or 2) *)
-  sh_join : [ `Single | `Cross | `Inner | `Left ];
-  sh_sub : bool;  (** wrap pivot tables as derived tables *)
-  sh_where : int;  (** WHERE conjunct count, 1–3 *)
-  sh_distinct : bool;
-  sh_order : bool;
-  sh_group : bool;
-  sh_pred : string option;
-      (** cold expression kind (an [expr.*] token without the prefix) to
-          aim the first WHERE conjunct at; [None] leaves it random *)
-}
-
-(** The [shape.*] point of a shape (ignores [sh_pred]). *)
-val point_of_shape : shape -> string
-
-(** Decode a [shape.*] point; [None] on malformed input. *)
-val shape_of_point : string -> shape option
 
 (** The clause-combination and expression-kind points of one synthesized
     SELECT: exactly one [shape.*] point (first) plus one [expr.*] point
@@ -55,19 +32,3 @@ val universe : Dialect.t -> string list
 (** The [plan.*] subset of {!universe} (what the runner snapshots from
     the coverage instrument). *)
 val plan_points : Dialect.t -> string list
-
-(** One of the coldest WHERE-targetable [expr.*] kinds of the dialect
-    (uniform among ties; aggregates excluded — they cannot appear in a
-    WHERE conjunct).  Applied from the first round: the kind vocabulary
-    warms within a few rounds, so rotating the first conjunct through the
-    least-exercised kinds has none of the cold-start pathology of shape
-    guidance. *)
-val cold_pred : rng:Rng.t -> dialect:Dialect.t -> Frontier.t -> string option
-
-(** Pick a generation target: a shape decoded from one of the coldest
-    [shape.*] points of the dialect's universe (uniform among the ties)
-    with [sh_pred] set to {!cold_pred}.  Shape guidance ramps up with
-    frontier warmth — against a mostly cold frontier it returns [None]
-    (sample blind) almost always, since uniform cold-picking would hunt
-    worse than the tuned blind distribution. *)
-val plan : rng:Rng.t -> dialect:Dialect.t -> Frontier.t -> shape option

@@ -649,189 +649,6 @@ let simple_predicate ctx : A.expr =
                 }))
 
 (* ------------------------------------------------------------------ *)
-(* Targeted predicates: guided generation (Gen_bias) asks for a WHERE
-   conjunct exercising one specific expression kind.  Shapes reuse the
-   random generators' constructors so that everything produced here is
-   also reachable blind — guidance changes the sampling distribution,
-   never the query language. *)
-
-let predicate_of_kind ctx (kind : string) : A.expr option =
-  let rng = ctx.rng in
-  match ctx.dialect with
-  | Dialect.Postgres_like -> (
-      let b () = gen_pg ctx 1 P_bool in
-      let i () = gen_pg ctx 1 P_int in
-      let t () = gen_pg ctx 1 P_text in
-      let sc () = gen_pg ctx 1 (Rng.pick rng [ P_int; P_real; P_text ]) in
-      let cmp_op () = Rng.pick rng [ A.Eq; A.Neq; A.Lt; A.Le; A.Gt; A.Ge ] in
-      match kind with
-      | "cmp" -> Some (A.Binary (cmp_op (), i (), i ()))
-      | "logic" ->
-          Some (A.Binary ((if Rng.bool rng then A.And else A.Or), b (), b ()))
-      | "not" -> Some (A.Unary (A.Not, b ()))
-      | "unary" -> Some (A.Binary (cmp_op (), A.Unary (A.Neg, i ()), i ()))
-      | "arith" ->
-          let op = Rng.pick rng [ A.Add; A.Sub; A.Mul ] in
-          Some (A.Binary (cmp_op (), A.Binary (op, i (), i ()), i ()))
-      | "concat" ->
-          Some (A.Binary (A.Eq, A.Binary (A.Concat, t (), t ()), t ()))
-      | "is_null" ->
-          Some (A.Is { negated = Rng.bool rng; arg = sc (); rhs = A.Is_null })
-      | "is_bool" ->
-          Some
-            (A.Is
-               {
-                 negated = Rng.bool rng;
-                 arg = b ();
-                 rhs = (if Rng.bool rng then A.Is_true else A.Is_false);
-               })
-      | "is_distinct" ->
-          Some
-            (A.Is { negated = false; arg = i (); rhs = A.Is_distinct_from (i ()) })
-      | "between" ->
-          Some
-            (A.Between { negated = Rng.bool rng; arg = i (); lo = i (); hi = i () })
-      | "in" ->
-          Some
-            (A.In_list
-               {
-                 negated = Rng.bool rng;
-                 arg = i ();
-                 list = List.init (Rng.int_in rng 1 3) (fun _ -> i ());
-               })
-      | "like" ->
-          Some
-            (A.Like
-               {
-                 negated = Rng.bool rng;
-                 arg = t ();
-                 pattern = A.Lit (Value.Text (gen_pattern rng));
-                 escape = None;
-               })
-      | "case" ->
-          Some
-            (A.Case
-               { operand = None; branches = [ (b (), b ()) ]; else_ = Some (b ()) })
-      | "cast" ->
-          Some
-            (A.Binary (cmp_op (), A.Cast (Datatype.Real, i ()), gen_pg ctx 1 P_real))
-      | "func" ->
-          Some (A.Binary (cmp_op (), A.Func (A.F_length, [ t () ]), i ()))
-      | _ -> None)
-  | Dialect.Sqlite_like | Dialect.Mysql_like -> (
-      let sqlite = Dialect.equal ctx.dialect Dialect.Sqlite_like in
-      let mysql = Dialect.equal ctx.dialect Dialect.Mysql_like in
-      let leaf () = gen_leaf ctx in
-      let lit () = A.Lit (gen_literal ctx) in
-      let colf () =
-        match random_column ctx with Some (c, _) -> c | None -> leaf ()
-      in
-      let cmp_op () = Rng.pick rng [ A.Eq; A.Eq; A.Neq; A.Lt; A.Le; A.Gt; A.Ge ] in
-      match kind with
-      | "cmp" ->
-          let col = colf () and l = lit () in
-          Some
-            (if Rng.bool rng then A.Binary (cmp_op (), col, l)
-             else A.Binary (cmp_op (), l, col))
-      | "logic" ->
-          Some
-            (A.Binary
-               ( (if Rng.bool rng then A.And else A.Or),
-                 simple_predicate ctx,
-                 simple_predicate ctx ))
-      | "not" -> Some (A.Unary (A.Not, simple_predicate ctx))
-      | "unary" ->
-          Some (A.Unary (Rng.pick rng [ A.Neg; A.Pos; A.Bit_not ], leaf ()))
-      | "arith" ->
-          let op = Rng.pick rng [ A.Add; A.Sub; A.Mul; A.Div; A.Rem ] in
-          Some (A.Binary (op, leaf (), leaf ()))
-      | "concat" when sqlite -> Some (A.Binary (A.Concat, leaf (), leaf ()))
-      | "bitop" ->
-          let op =
-            Rng.pick rng [ A.Bit_and; A.Bit_or; A.Shift_left; A.Shift_right ]
-          in
-          Some (A.Binary (op, leaf (), leaf ()))
-      | "nullsafe_eq" when mysql ->
-          Some (A.Binary (A.Null_safe_eq, colf (), lit ()))
-      | "is_null" ->
-          Some (A.Is { negated = Rng.bool rng; arg = colf (); rhs = A.Is_null })
-      | "is_bool" ->
-          Some
-            (A.Is
-               {
-                 negated = Rng.bool rng;
-                 arg = simple_predicate ctx;
-                 rhs = (if Rng.bool rng then A.Is_true else A.Is_false);
-               })
-      | "is_expr" when sqlite ->
-          Some
-            (A.Is { negated = Rng.bool rng; arg = colf (); rhs = A.Is_expr (lit ()) })
-      | "between" ->
-          Some
-            (A.Between
-               { negated = Rng.bool rng; arg = colf (); lo = lit (); hi = lit () })
-      | "in" ->
-          Some
-            (A.In_list
-               {
-                 negated = Rng.bool rng;
-                 arg = colf ();
-                 list = List.init (Rng.int_in rng 1 3) (fun _ -> lit ());
-               })
-      | "like" ->
-          Some
-            (A.Like
-               {
-                 negated = Rng.bool rng;
-                 arg = colf ();
-                 pattern = A.text_lit (gen_pattern rng);
-                 escape = None;
-               })
-      | "glob" when sqlite ->
-          Some
-            (A.Glob
-               {
-                 negated = Rng.bool rng;
-                 arg = colf ();
-                 pattern = A.text_lit (gen_glob_pattern rng);
-               })
-      | "case" ->
-          Some
-            (A.Case
-               {
-                 operand = None;
-                 branches = [ (simple_predicate ctx, lit ()) ];
-                 else_ = Some (lit ());
-               })
-      | "cast" ->
-          let ty =
-            if mysql && Rng.bool rng then
-              Datatype.Int { width = Datatype.Big; unsigned = true }
-            else
-              Rng.pick rng
-                [
-                  Datatype.Int { width = Datatype.Regular; unsigned = false };
-                  Datatype.Real;
-                  Datatype.Text;
-                ]
-          in
-          Some (A.Cast (ty, leaf ()))
-      | "collate" when sqlite ->
-          Some
-            (A.Binary
-               (cmp_op (), A.Collate (colf (), Rng.pick rng Collation.all), lit ()))
-      | "func" ->
-          let fs =
-            [ (A.F_abs, 1); (A.F_length, 1); (A.F_lower, 1); (A.F_upper, 1);
-              (A.F_coalesce, 2); (A.F_nullif, 2); (A.F_trim, 1); (A.F_substr, 2);
-              (A.F_hex, 1); (A.F_round, 1); (A.F_sign, 1) ]
-            @ (if sqlite then [ (A.F_typeof, 1); (A.F_quote, 1) ] else [])
-          in
-          let f, arity = Rng.pick rng fs in
-          Some (A.Func (f, List.init arity (fun _ -> leaf ())))
-      | _ -> None)
-
-(* ------------------------------------------------------------------ *)
 (* Entry points                                                         *)
 
 let condition ctx =

@@ -33,14 +33,6 @@ val scalar : ctx -> Sqlast.Ast.expr
     on. *)
 val simple_predicate : ctx -> Sqlast.Ast.expr
 
-(** A WHERE-suitable predicate exercising the given expression kind (a
-    [Gen_bias] expression-kind token such as ["between"] or ["collate"]):
-    coverage-guided generation uses it to aim a conjunct at a cold
-    frontier point.  [None] when the dialect cannot produce the kind
-    (e.g. ["glob"] outside sqlite) — shapes only compose constructors the
-    blind generators already emit. *)
-val predicate_of_kind : ctx -> string -> Sqlast.Ast.expr option
-
 (** A random constant of a random type suitable for the dialect. *)
 val literal : Rng.t -> Dialect.t -> Value.t
 

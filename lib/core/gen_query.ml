@@ -12,18 +12,14 @@ type t = {
 
 let synthesize ?(rectify = true) ?(target = Tvl.True)
     ?(telemetry = Telemetry.noop)
-    ?(exec_backend = Engine.Exec_backend.Compiled) ?shape ?pred ~rng
+    ?(exec_backend = Engine.Exec_backend.Compiled) ~rng
     ~dialect ~pivot ~case_sensitive_like ~max_depth ~check_expressions () =
   (* derived-table wrapping (FROM (SELECT * FROM t) AS t): the subquery's
      columns are untyped and binary-collated, so the pivot's column
      metadata must be degraded identically for the oracle *)
   let wrapped =
     List.map
-      (fun (ti, _) ->
-        ( ti.Schema_info.ti_name,
-          match shape with
-          | Some s -> s.Gen_bias.sh_sub
-          | None -> Rng.chance rng 0.12 ))
+      (fun (ti, _) -> (ti.Schema_info.ti_name, Rng.chance rng 0.12))
       pivot
   in
   let is_wrapped name =
@@ -107,75 +103,28 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
     in
     one_condition raw
   in
-  (* a conjunct aimed at the shape's cold expression kind; falls back to a
-     random condition when the dialect cannot produce it *)
-  let targeted_condition kind =
-    let raw =
-      Telemetry.Span.timed telemetry Telemetry.Phase.Gen_expr (fun () ->
-          match Gen_expr.predicate_of_kind gen_ctx kind with
-          | Some e -> e
-          | None ->
-              if Rng.chance rng 0.5 then Gen_expr.simple_predicate gen_ctx
-              else Gen_expr.condition gen_ctx)
-    in
-    one_condition raw
-  in
   (* WHERE is an AND of one to three rectified conjuncts: each conjunct is
      TRUE for the pivot, hence so is the conjunction, and bare conjuncts
      are what the planner's index paths key on *)
   let* where =
-    let n =
-      match shape with
-      | Some s -> max 1 (min 3 s.Gen_bias.sh_where)
-      | None -> Rng.pick_weighted rng [ (4, 1); (3, 2); (1, 3) ]
-    in
+    let n = Rng.pick_weighted rng [ (4, 1); (3, 2); (1, 3) ] in
     let rec build acc k =
       if k = 0 then Ok acc
       else
         let* c = condition () in
         build (A.Binary (A.And, acc, c)) (k - 1)
     in
-    let* first =
-      match shape with
-      | Some { Gen_bias.sh_pred = Some kind; _ } -> targeted_condition kind
-      | _ -> condition ()
-    in
+    let* first = condition () in
     build first (n - 1)
-  in
-  (* pred-only guidance: one extra rectified conjunct aimed at a cold
-     expression kind, drawn from the guidance RNG so the main synthesis
-     stream stays byte-identical to a blind run.  Rectification keeps the
-     conjunct TRUE for the pivot, so it can only narrow the result set
-     around the row the oracle checks — a blind run's detections are
-     preserved and the targeted kind is exercised on top (a conjunct that
-     fails to rectify is simply dropped) *)
-  let* where =
-    match (shape, pred) with
-    | None, Some (pred_rng, kind) -> (
-        let pctx = { gen_ctx with Gen_expr.rng = pred_rng } in
-        match Gen_expr.predicate_of_kind pctx kind with
-        | None -> Ok where
-        | Some raw -> (
-            match one_condition raw with
-            | Ok c -> Ok (A.Binary (A.And, where, c))
-            | Error _ -> Ok where))
-    | _ -> Ok where
   in
   let* from, where =
     match tables with
     | [ t0 ] -> Ok ([ from_of t0 ], where)
     | [ t0; t1 ] ->
         let explicit, kind =
-          match shape with
-          | Some s -> (
-              match s.Gen_bias.sh_join with
-              | `Inner -> (true, A.Inner)
-              | `Left -> (true, A.Left)
-              | `Cross | `Single -> (false, A.Inner))
-          | None ->
-              if Rng.chance rng 0.4 then
-                (true, if Rng.chance rng 0.2 then A.Left else A.Inner)
-              else (false, A.Inner)
+          if Rng.chance rng 0.4 then
+            (true, if Rng.chance rng 0.2 then A.Left else A.Inner)
+          else (false, A.Inner)
         in
         if explicit then
           (* explicit JOIN with a rectified ON *)
@@ -206,13 +155,9 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
           ti.Schema_info.ti_columns)
       pivot
   in
-  (* a shape with GROUP BY needs every target to stay a plain column, so
-     the expression/aggregate target extensions are suppressed for it *)
-  let want_group = match shape with Some s -> s.Gen_bias.sh_group | None -> false in
   let* targets =
     if
-      check_expressions && column_targets <> [] && (not want_group)
-      && Rng.chance rng 0.5
+      check_expressions && column_targets <> [] && Rng.chance rng 0.5
     then begin
       (* replace a random target with a scalar expression *)
       let n = List.length column_targets in
@@ -241,8 +186,7 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
   let* targets =
     match pivot with
     | [ (ti, _) ]
-      when ti.Schema_info.ti_row_count = 1 && (not want_group)
-           && Rng.chance rng 0.25 ->
+      when ti.Schema_info.ti_row_count = 1 && Rng.chance rng 0.25 ->
         let scalar_e =
           Telemetry.Span.timed telemetry Telemetry.Phase.Gen_expr (fun () ->
               Gen_expr.scalar gen_ctx)
@@ -267,28 +211,19 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
         targets
     in
     if
-      all_plain_cols && List.length pivot = 1
-      && (match shape with
-         | Some s -> s.Gen_bias.sh_group
-         | None -> Rng.chance rng 0.3)
+      all_plain_cols && List.length pivot = 1 && Rng.chance rng 0.3
     then List.map fst targets
     else []
   in
   let order_by =
-    let want =
-      match shape with Some s -> s.Gen_bias.sh_order | None -> Rng.chance rng 0.3
-    in
-    if want then
+    if Rng.chance rng 0.3 then
       let e, _ = Rng.pick rng targets in
       [ (e, if Rng.bool rng then A.Asc else A.Desc) ]
     else []
   in
   let query =
     {
-      A.sel_distinct =
-        (match shape with
-        | Some s -> s.Gen_bias.sh_distinct
-        | None -> Rng.chance rng 0.4);
+      A.sel_distinct = Rng.chance rng 0.4;
       sel_items = List.map (fun (e, _) -> A.Sel_expr (e, None)) targets;
       sel_from = from;
       sel_where = Some where;

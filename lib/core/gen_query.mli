@@ -33,30 +33,12 @@ type t = {
     [exec_backend] (default [Compiled]) is forwarded to the rectifier:
     under [Compiled] each condition is translated once and its
     rectification re-check reuses the memoized evaluation
-    ({!Rectify.rectify}).
-
-    [shape] (coverage-guided mode) overrides the random clause-shape
-    decisions: derived-table wrapping, WHERE conjunct count, join kind,
-    DISTINCT/ORDER BY/GROUP BY flags, and — when [sh_pred] is set — aims
-    the first WHERE conjunct at that expression kind
-    ({!Gen_expr.predicate_of_kind}).  Expression/aggregate target
-    extensions are suppressed when the shape wants GROUP BY (grouping
-    requires plain column targets).
-
-    [pred] — [(pred_rng, kind)] — appends one extra rectified conjunct
-    aimed at expression kind [kind], generated entirely from [pred_rng]:
-    the main synthesis stream stays byte-identical to a blind run, and
-    because the conjunct rectifies to TRUE for the pivot it can only
-    narrow the result set around the checked row.  This is the pred-only
-    guidance used while shape guidance is still warming up; ignored when
-    [shape] is given (its [sh_pred] governs). *)
+    ({!Rectify.rectify}). *)
 val synthesize :
   ?rectify:bool ->
   ?target:Tvl.t ->
   ?telemetry:Telemetry.t ->
   ?exec_backend:Engine.Exec_backend.kind ->
-  ?shape:Gen_bias.shape ->
-  ?pred:Rng.t * string ->
   rng:Rng.t ->
   dialect:Dialect.t ->
   pivot:(Schema_info.table_info * Value.t array) list ->

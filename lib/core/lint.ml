@@ -1,25 +1,15 @@
-(* The static-analysis self-check oracle.
+(* The static-analysis bridge.
 
-   Bridges lib/analysis to the PQS loop: builds Analysis environments from
-   the live session's catalog (the same Schema_info snapshot the
-   generators use), typechecks every containment query, and — when no
-   injected bug is enabled — lints the access path the planner would pick
-   for each single-table scan in it.  Any error diagnostic becomes a
-   [Bug_report.Lint] report.
+   Connects lib/analysis to the PQS loop: builds Analysis environments
+   from the live session's catalog (the same Schema_info snapshot the
+   generators use), typechecks containment queries, and lints the access
+   path the planner would pick for each single-table scan in them.
 
-   Design constraints that keep the oracle campaign-neutral (a run with
-   the lint oracle must report the identical bug set as one without it on
-   the same seeds):
-
-   - only [Select_stmt] / [Explain] statements are analyzed, and only when
-     they executed successfully: generated DDL/DML may legitimately fail
-     (dropped tables, duplicate keys) and those expected errors must keep
-     flowing to the error oracle untouched;
-   - plan linting is gated on an empty bug set: with injected planner
-     bugs enabled the planner intentionally produces inconsistent paths,
-     and flagging them would change which report fires first;
-   - the oracle is appended after [Oracle.defaults], so on any event the
-     paper's oracles keep report priority. *)
+   The generators are well-typed by construction, so any error diagnostic
+   is an analyzer or generator defect.  [sweep] runs the analysis over a
+   seed corpus ([make lint], [sqlancer lint]); the test suite also runs it
+   as an observer over a bug-free campaign.  Plan linting needs a clean
+   engine: injected planner bugs produce inconsistent paths on purpose. *)
 
 open Sqlval
 module A = Sqlast.Ast
@@ -101,84 +91,59 @@ let env_of_pivot dialect (pivot : (Schema_info.table_info * Value.t array) list)
 let check_stmt session stmt = Analysis.check_stmt (env_of_session session) stmt
 
 (* Single-table scans inside the query (including derived tables and
-   compound arms), each paired with its WHERE clause — exactly the shapes
-   the planner handles (Explain.from_lines mirrors the same walk). *)
-let rec scan_sites session (q : A.query) acc =
+   compound arms) — exactly the shapes the planner handles
+   (Explain.from_lines mirrors the same walk). *)
+type site = {
+  site_alias : string;
+  site_table : string;
+  site_schema : Storage.Schema.table;
+  site_where : A.expr option;
+  site_distinct : bool;
+}
+
+let rec sites_of_query session (q : A.query) acc =
   match q with
   | A.Q_values _ -> acc
-  | A.Q_compound (_, a, b) -> scan_sites session b (scan_sites session a acc)
-  | A.Q_select s ->
+  | A.Q_compound (_, a, b) ->
+      sites_of_query session b (sites_of_query session a acc)
+  | A.Q_select s -> (
       let acc =
-        List.fold_left
-          (fun acc it -> sub_sites session it acc)
-          acc s.A.sel_from
+        List.fold_left (fun acc it -> sites_of_from session it acc) acc
+          s.A.sel_from
       in
-      (match s.A.sel_from with
-      | [ A.F_table { name; _ } ] -> (
+      match s.A.sel_from with
+      | [ A.F_table { name; alias } ] -> (
           let catalog = Engine.Session.catalog session in
           match Storage.Catalog.find_table catalog name with
           | Some ts ->
-              (ts.Storage.Catalog.schema, s.A.sel_where) :: acc
+              {
+                site_alias = Option.value ~default:name alias;
+                site_table = name;
+                site_schema = ts.Storage.Catalog.schema;
+                site_where = s.A.sel_where;
+                site_distinct = s.A.sel_distinct;
+              }
+              :: acc
           | None -> acc)
       | _ -> acc)
 
-and sub_sites session (it : A.from_item) acc =
+and sites_of_from session (it : A.from_item) acc =
   match it with
   | A.F_table _ -> acc
   | A.F_join { left; right; _ } ->
-      sub_sites session right (sub_sites session left acc)
-  | A.F_sub { sub; _ } -> scan_sites session sub acc
+      sites_of_from session right (sites_of_from session left acc)
+  | A.F_sub { sub; _ } -> sites_of_query session sub acc
+
+let scan_sites session q = sites_of_query session q []
 
 let lint_plans session (q : A.query) : Analysis.Diagnostic.t list =
   let ctx = Engine.Session.ctx session in
   let env = Engine.Executor.eval_env ctx in
   let catalog = Engine.Session.catalog session in
-  scan_sites session q []
-  |> List.concat_map (fun (schema, where) ->
+  scan_sites session q
+  |> List.concat_map (fun { site_schema = schema; site_where = where; _ } ->
          let path = Engine.Planner.choose env catalog schema ~where in
          Analysis.lint_plan env catalog schema ~where path)
-
-(* ------------------------------------------------------------------ *)
-(* The oracle                                                         *)
-
-let verdict_of diags =
-  match List.filter Analysis.Diagnostic.is_error diags with
-  | [] -> Oracle.Pass
-  | errs ->
-      Oracle.Report
-        {
-          kind = Bug_report.Lint;
-          message =
-            "static analysis: "
-            ^ String.concat "; "
-                (List.map Analysis.Diagnostic.to_string errs);
-        }
-
-let analyze ctx (stmt : A.stmt) =
-  let session = ctx.Oracle.ctx_session in
-  match stmt with
-  | A.Select_stmt q | A.Explain q | A.Explain_analyze q ->
-      Telemetry.Span.timed ctx.Oracle.ctx_telemetry Telemetry.Phase.Lint (fun () ->
-          let tdiags = check_stmt session stmt in
-          let pdiags =
-            (* with injected bugs enabled the planner intentionally produces
-               inconsistent paths; lint them only on a clean engine *)
-            if Engine.Bug.to_list (Engine.Session.bugs session) = [] then
-              lint_plans session q
-            else []
-          in
-          verdict_of (tdiags @ pdiags))
-  | _ -> Oracle.Pass
-
-let oracle : Oracle.t =
-  Oracle.make ~name:"lint" (fun ctx event ->
-      match event with
-      | Oracle.Statement (stmt, Oracle.Succeeded _) -> analyze ctx stmt
-      | Oracle.Containment_check { Oracle.check_stmt = stmt; _ } ->
-          analyze ctx stmt
-      | Oracle.Statement (_, (Oracle.Failed _ | Oracle.Crashed _))
-      | Oracle.Database_ready ->
-          Oracle.Pass)
 
 (* ------------------------------------------------------------------ *)
 (* Seed-corpus sweep (make lint / sqlancer lint / test_analysis)       *)
@@ -295,7 +260,7 @@ let sweep ?(queries_per_seed = 3) ~seed_lo ~seed_hi dialect : sweep_result =
             let pdiags =
               match stmt with
               | A.Select_stmt q | A.Explain q | A.Explain_analyze q ->
-                  plans := !plans + List.length (scan_sites session q []);
+                  plans := !plans + List.length (scan_sites session q);
                   lint_plans session q
               | _ -> []
             in
@@ -322,19 +287,3 @@ let sweep ?(queries_per_seed = 3) ~seed_lo ~seed_hi dialect : sweep_result =
     sw_diags = List.rev !diags;
     sw_simplify_diags = List.rev !simplify_diags;
   }
-
-(* self-registration: the CLI flag, reducer and replay arms all derive
-   from this entry *)
-let () =
-  Oracle.Registry.register
-    {
-      Oracle.Registry.reg_name = "lint";
-      reg_doc = "add the static-analysis self-check oracle (see Analysis)";
-      reg_flag = Some "lint";
-      reg_default = false;
-      reg_kinds = [ Bug_report.Lint ];
-      reg_make = (fun () -> oracle);
-      (* static-analysis findings depend on schema state at analysis time,
-         not on replay behaviour *)
-      reg_recheck = Oracle.Registry.Not_recheckable;
-    }

@@ -1,16 +1,11 @@
-(** The static-analysis self-check oracle.
+(** The static-analysis bridge.
 
-    Bridges [Analysis] into the PQS loop: typechecks every containment
-    query against the live session's catalog and, on a clean engine (no
-    injected bugs), lints the planner's access paths.  Error diagnostics
-    become [Bug_report.Lint] reports.
-
-    The oracle is campaign-neutral by construction: it only analyzes
-    successfully executed [Select_stmt] / [Explain] statements (expected
-    DDL/DML errors keep flowing to the error oracle), plan linting is
-    gated on an empty bug set, and appending it after [Oracle.defaults]
-    preserves report priority — so enabling it must not change the bug
-    set a campaign reports. *)
+    Connects [Analysis] to the PQS loop: typechecks containment queries
+    against the live session's catalog and lints the planner's access
+    paths.  The generators are well-typed by construction, so any error
+    diagnostic is an analyzer or generator defect; {!sweep} checks a seed
+    corpus for them ([make lint], [sqlancer lint]).  {!scan_sites} is the
+    scan-site walk the plan-space oracle ([Plan_diff]) shares. *)
 
 open Sqlval
 
@@ -29,13 +24,25 @@ val env_of_pivot :
 val check_stmt : Engine.Session.t -> Sqlast.Ast.stmt -> Analysis.Diagnostic.t list
 (** Typecheck the query inside a [Select_stmt] / [Explain]. *)
 
+(** A single-base-table scan site: the shapes the planner handles. *)
+type site = {
+  site_alias : string;
+      (** effective alias — the key under which the executor applies a
+          forced access path *)
+  site_table : string;
+  site_schema : Storage.Schema.table;
+  site_where : Sqlast.Ast.expr option;
+  site_distinct : bool;
+      (** the owning select's DISTINCT (distinct-sensitive paths see it) *)
+}
+
+val scan_sites : Engine.Session.t -> Sqlast.Ast.query -> site list
+(** Every scan site of the query, including derived tables and compound
+    arms. *)
+
 val lint_plans : Engine.Session.t -> Sqlast.Ast.query -> Analysis.Diagnostic.t list
 (** Choose and lint the access path for every single-table scan site in
     the query (including derived tables and compound arms). *)
-
-val oracle : Oracle.t
-(** The ["lint"] oracle.  Append it to [Oracle.defaults] (CLI flag
-    [--lint]); never insert it before them. *)
 
 type sweep_result = {
   sw_seeds : int;

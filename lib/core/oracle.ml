@@ -99,91 +99,6 @@ let metamorphic ?(checks_per_db = 4) () : t =
 
 let defaults = [ error_oracle; crash_oracle; containment ]
 
-module Registry = struct
-  type recheck =
-    | Not_recheckable
-    | Replay_outcome
-    | Custom of
-        (dialect:Dialect.t ->
-        bugs:Engine.Bug.set ->
-        oracle:Bug_report.oracle ->
-        Sqlast.Ast.stmt list ->
-        bool)
-
-  type entry = {
-    reg_name : string;
-    reg_doc : string;
-    reg_flag : string option;
-    reg_default : bool;
-    reg_kinds : Bug_report.oracle list;
-    reg_make : unit -> t;
-    reg_recheck : recheck;
-  }
-
-  (* registration order is display order; re-registering a name replaces
-     the old entry in place (idempotent module re-initialization) *)
-  let entries : entry list ref = ref []
-
-  let register e =
-    if List.exists (fun e' -> e'.reg_name = e.reg_name) !entries then
-      entries :=
-        List.map (fun e' -> if e'.reg_name = e.reg_name then e else e') !entries
-    else entries := !entries @ [ e ]
-
-  let all () = !entries
-  let find name = List.find_opt (fun e -> e.reg_name = name) !entries
-
-  let find_kind kind =
-    List.find_opt
-      (fun e -> List.exists (Bug_report.equal_oracle kind) e.reg_kinds)
-      !entries
-end
-
-(* the paper's trio is always on and rechecks by replaying the script *)
-let () =
-  Registry.register
-    {
-      Registry.reg_name = "error";
-      reg_doc = "any statement error outside the expected-errors whitelist";
-      reg_flag = None;
-      reg_default = true;
-      reg_kinds = [ Bug_report.Error_oracle ];
-      reg_make = (fun () -> error_oracle);
-      reg_recheck = Registry.Replay_outcome;
-    };
-  Registry.register
-    {
-      Registry.reg_name = "crash";
-      reg_doc = "simulated engine SEGFAULTs";
-      reg_flag = None;
-      reg_default = true;
-      reg_kinds = [ Bug_report.Crash ];
-      reg_make = (fun () -> crash_oracle);
-      reg_recheck = Registry.Replay_outcome;
-    };
-  Registry.register
-    {
-      Registry.reg_name = "containment";
-      reg_doc = "pivot-row containment, both polarities (paper steps 6-7)";
-      reg_flag = None;
-      reg_default = true;
-      reg_kinds = [ Bug_report.Containment; Bug_report.Non_containment ];
-      reg_make = (fun () -> containment);
-      reg_recheck = Registry.Replay_outcome;
-    };
-  Registry.register
-    {
-      Registry.reg_name = "metamorphic";
-      reg_doc = "add the metamorphic aggregate-partition oracle";
-      reg_flag = Some "metamorphic";
-      reg_default = false;
-      reg_kinds = [ Bug_report.Metamorphic ];
-      reg_make = (fun () -> metamorphic ());
-      (* the violated partition relation cannot be re-checked from the
-         statement list alone *)
-      reg_recheck = Registry.Not_recheckable;
-    }
-
 let first_report oracles ctx event =
   List.fold_left
     (fun acc oracle ->

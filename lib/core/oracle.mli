@@ -99,56 +99,3 @@ val defaults : t list
 (** Fold the oracles over an event; the first [Report] wins. *)
 val first_report :
   t list -> context -> event -> (Bug_report.oracle * string) option
-
-(** The oracle registry: one table mapping an oracle's stable name to its
-    constructor, documentation, CLI flag, report kinds and
-    reduction-recheck strategy.  The CLI's oracle flags, the reducer's
-    manifestation checks and the replay harness's recheckability arms all
-    derive from it, so adding an oracle means registering one entry
-    instead of editing three dispatchers.
-
-    The paper's trio and the metamorphic oracle register here; [Lint] and
-    [Plan_diff] self-register at the bottom of their modules (the [pqs]
-    library is linked with [-linkall] so registration is unconditional). *)
-module Registry : sig
-  (** How a report of this oracle is re-checked when the reducer shrinks
-      its statement list (see [Reducer.manifestation_check]). *)
-  type recheck =
-    | Not_recheckable
-        (** the verdict is not re-derivable from the statement list alone
-            (metamorphic, lint); reduction is a no-op and replay trusts
-            the bundle *)
-    | Replay_outcome
-        (** re-run the script and decide from the replay outcome (crash /
-            unexpected error / final SELECT row count vs ground truth) *)
-    | Custom of
-        (dialect:Sqlval.Dialect.t ->
-        bugs:Engine.Bug.set ->
-        oracle:Bug_report.oracle ->
-        Sqlast.Ast.stmt list ->
-        bool)  (** oracle-specific recheck (plan-diff re-runs all plans) *)
-
-  type entry = {
-    reg_name : string;  (** stable identifier, e.g. ["plan_diff"] *)
-    reg_doc : string;  (** one-line description (also the CLI flag doc) *)
-    reg_flag : string option;
-        (** CLI flag that adds the oracle to a run ([--metamorphic],
-            [--lint], [--plan-diff]); [None] for always-on defaults *)
-    reg_default : bool;  (** member of {!defaults} *)
-    reg_kinds : Bug_report.oracle list;
-        (** report kinds this oracle emits (containment covers both
-            polarities) *)
-    reg_make : unit -> t;  (** fresh instance with default parameters *)
-    reg_recheck : recheck;
-  }
-
-  val register : entry -> unit
-  (** Insert (or, by name, replace) an entry.  Registration order is
-      display order. *)
-
-  val all : unit -> entry list
-  val find : string -> entry option
-
-  (** The entry whose [reg_kinds] contains the report kind. *)
-  val find_kind : Bug_report.oracle -> entry option
-end

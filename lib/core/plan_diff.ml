@@ -34,7 +34,7 @@
    grouped select picks representative tuples in scan order unless every
    output is a group key or an order-insensitive aggregate.)
 
-   Campaign neutrality mirrors the lint oracle: re-executions go through
+   Campaign neutrality: re-executions go through
    {!Engine.Session.query_forced} (no statement counting, no coverage
    hits, no randomness), and the oracle is appended after
    [Oracle.defaults] so the paper's oracles keep report priority. *)
@@ -94,40 +94,6 @@ and from_stable = function
 
 (* ------------------------------------------------------------------ *)
 (* Forced-plan enumeration                                             *)
-
-(* Single-base-table scan sites (the shapes the planner handles), each
-   with its effective alias, WHERE clause — the key under which the
-   executor applies a forced path — and the owning select's DISTINCT
-   flag (distinct-sensitive paths must see it).  Same walk as
-   [Lint.scan_sites]. *)
-let rec scan_sites session (q : A.query) acc =
-  match q with
-  | A.Q_values _ -> acc
-  | A.Q_compound (_, a, b) -> scan_sites session b (scan_sites session a acc)
-  | A.Q_select s -> (
-      let acc =
-        List.fold_left (fun acc it -> sub_sites session it acc) acc s.A.sel_from
-      in
-      match s.A.sel_from with
-      | [ A.F_table { name; alias } ] -> (
-          let catalog = Engine.Session.catalog session in
-          match Storage.Catalog.find_table catalog name with
-          | Some ts ->
-              ( Option.value ~default:name alias,
-                name,
-                ts.Storage.Catalog.schema,
-                s.A.sel_where,
-                s.A.sel_distinct )
-              :: acc
-          | None -> acc)
-      | _ -> acc)
-
-and sub_sites session (it : A.from_item) acc =
-  match it with
-  | A.F_table _ -> acc
-  | A.F_join { left; right; _ } ->
-      sub_sites session right (sub_sites session left acc)
-  | A.F_sub { sub; _ } -> scan_sites session sub acc
 
 let rec take n = function
   | [] -> []
@@ -206,8 +172,17 @@ let variant_groups ?(max_plans = 4) session (q : A.query) :
   let ctx = Engine.Session.ctx session in
   let catalog = Engine.Session.catalog session in
   let site_groups =
-    scan_sites session q []
-    |> List.filter_map (fun (alias, table, schema, where, distinct) ->
+    Lint.scan_sites session q
+    |> List.filter_map
+         (fun
+           {
+             Lint.site_alias = alias;
+             site_table = table;
+             site_schema = schema;
+             site_where = where;
+             site_distinct = distinct;
+           }
+         ->
            (* coverage is stripped: plan enumeration is oracle work and
               must not add coverage hits the campaign would not have *)
            let env =
@@ -675,41 +650,26 @@ let exclusive_seeds (r : sweep_result) =
   List.sort_uniq compare (List.map fst r.pd_divergences)
   |> List.filter (fun s -> not (List.mem s r.pd_containment_seeds))
 
-(* self-registration; the recheck rebuilds the database and re-runs the
-   multi-plan comparison, so reduced scripts must keep diverging *)
-let () =
-  let recheck ~dialect ~bugs ~oracle:_ stmts =
-    let session = Engine.Session.create ~bugs dialect in
-    (try
-       List.iter
-         (fun stmt ->
-           match Engine.Session.execute session stmt with
-           | Ok _ | Error _ -> ())
-         stmts
-     with Engine.Errors.Crash _ -> ());
-    let diverged check =
-      match check session with
-      | oc -> oc.oc_divergence <> None
-      | exception Engine.Errors.Crash _ -> false
-    in
-    (* on the final SELECT if the script ends in one (a per-query site
-       divergence), and over the join-order witnesses either way (a
-       Database_ready divergence has no trigger SELECT) *)
-    (match List.rev stmts with
-    | A.Select_stmt q :: _ -> diverged (fun s -> check_query s q)
-    | _ -> false)
-    || diverged check_join_orders
+(* The reducer recheck rebuilds the database and re-runs the multi-plan
+   comparison, so reduced scripts must keep diverging. *)
+let recheck ~dialect ~bugs stmts =
+  let session = Engine.Session.create ~bugs dialect in
+  (try
+     List.iter
+       (fun stmt ->
+         match Engine.Session.execute session stmt with
+         | Ok _ | Error _ -> ())
+       stmts
+   with Engine.Errors.Crash _ -> ());
+  let diverged check =
+    match check session with
+    | oc -> oc.oc_divergence <> None
+    | exception Engine.Errors.Crash _ -> false
   in
-  Oracle.Registry.register
-    {
-      Oracle.Registry.reg_name = "plan_diff";
-      reg_doc =
-        "add the plan-space differential oracle: re-execute every \
-         containment query under each enumerable access plan and \
-         cross-check the result multisets";
-      reg_flag = Some "plan-diff";
-      reg_default = false;
-      reg_kinds = [ Bug_report.Plan_diff ];
-      reg_make = (fun () -> oracle ());
-      reg_recheck = Oracle.Registry.Custom recheck;
-    }
+  (* on the final SELECT if the script ends in one (a per-query site
+     divergence), and over the join-order witnesses either way (a
+     Database_ready divergence has no trigger SELECT) *)
+  (match List.rev stmts with
+  | A.Select_stmt q :: _ -> diverged (fun s -> check_query s q)
+  | _ -> false)
+  || diverged check_join_orders

@@ -95,6 +95,15 @@ val check_join_orders : ?max_pairs:int -> Engine.Session.t -> outcome
     priority. *)
 val oracle : ?max_plans:int -> unit -> Oracle.t
 
+(** The reducer's manifestation check for a plan-diff report: rebuild
+    the database from the script and re-run the multi-plan comparison on
+    its final SELECT and on the join-order witnesses. *)
+val recheck :
+  dialect:Sqlval.Dialect.t ->
+  bugs:Engine.Bug.set ->
+  Sqlast.Ast.stmt list ->
+  bool
+
 (** {1 Seed-corpus sweep} ([make plandiff] / [sqlancer plan-diff] /
     the detection tests) *)
 

@@ -72,24 +72,20 @@ let replay_check ~dialect ~bugs ~oracle stmts =
           | Some 0 -> true
           | _ -> false)
       | _ -> false)
-  | Bug_report.Metamorphic | Bug_report.Lint | Bug_report.Plan_diff
-  | Bug_report.Const_opt ->
+  | Bug_report.Metamorphic | Bug_report.Plan_diff | Bug_report.Const_opt ->
       (* these kinds declare [Not_recheckable] or [Custom] strategies in
-         the registry; reaching here means a registration is missing *)
+         the oracle table; reaching here means an entry is missing *)
       false
 
-(* dispatch on the registry's per-oracle recheck strategy; an unknown
+(* dispatch on the oracle table's per-oracle recheck strategy; an unknown
    kind falls back to the replay strategy (which rejects it) *)
 let manifestation_check ~dialect ~bugs ~oracle : check =
  fun stmts ->
-  match Oracle.Registry.find_kind oracle with
-  | Some { Oracle.Registry.reg_recheck = Oracle.Registry.Not_recheckable; _ }
-    ->
-      false
-  | Some { Oracle.Registry.reg_recheck = Oracle.Registry.Custom f; _ } ->
-      f ~dialect ~bugs ~oracle stmts
-  | Some { Oracle.Registry.reg_recheck = Oracle.Registry.Replay_outcome; _ }
-  | None ->
+  match Oracle_table.find_kind oracle with
+  | Some { Oracle_table.recheck = Oracle_table.Not_recheckable; _ } -> false
+  | Some { Oracle_table.recheck = Oracle_table.Custom f; _ } ->
+      f ~dialect ~bugs stmts
+  | Some { Oracle_table.recheck = Oracle_table.Replay_outcome; _ } | None ->
       replay_check ~dialect ~bugs ~oracle stmts
 
 (* one pass of greedy single-statement deletion; [keep_last] protects the

@@ -13,8 +13,8 @@ type outcome = {
   path : string;
   oracle : Bug_report.oracle;
   recheckable : bool;
-      (* metamorphic and lint verdicts are not re-derivable from the
-         statement list alone *)
+      (* metamorphic verdicts are not re-derivable from the statement list
+         alone *)
   reproduced : bool;
   detail : string;
 }
@@ -68,11 +68,10 @@ let check_file path : (outcome, string) result =
     | Error e -> Error (Sqlparse.Parser.show_error e)
   in
   let* () = if stmts = [] then Error "empty statement body" else Ok () in
-  (* recheckability comes from the oracle registry, the same table the
-     reducer dispatches on *)
-  match Oracle.Registry.find_kind oracle with
-  | Some { Oracle.Registry.reg_recheck = Oracle.Registry.Not_recheckable; _ }
-    ->
+  (* recheckability comes from the oracle table, which the reducer
+     dispatches on too *)
+  match Oracle_table.find_kind oracle with
+  | Some { Oracle_table.recheck = Oracle_table.Not_recheckable; _ } ->
       (* the verdict lives outside the script; the bundle still carries
          the trace and message for triage *)
       Ok

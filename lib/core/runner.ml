@@ -29,9 +29,6 @@ module Config = struct
     backend : Engine.Exec_backend.kind;
         (** execution backend of the campaign's test sessions; ground-truth
             confirmation always re-runs on the interpreted reference *)
-    guided : bool;
-        (** coverage-guided generation: bias query shapes toward the cold
-            points of the accumulated frontier *)
   }
 
   let make ?(bugs = Engine.Bug.empty_set) ?(seed = 1) ?(table_count = 2)
@@ -41,7 +38,7 @@ module Config = struct
       ?(check_non_containment = true) ?(oracles = Oracle.defaults)
       ?(telemetry = Telemetry.noop) ?(trace = false) ?(trace_capacity = 1024)
       ?bundle_dir ?(trace_sample = 0)
-      ?(backend = Engine.Exec_backend.Compiled) ?(guided = false) dialect =
+      ?(backend = Engine.Exec_backend.Compiled) dialect =
     {
       dialect;
       bugs;
@@ -64,11 +61,9 @@ module Config = struct
       bundle_dir;
       trace_sample;
       backend;
-      guided;
     }
 
   let with_seed seed t = { t with seed }
-  let with_guided guided t = { t with guided }
   let with_backend backend t = { t with backend }
   let with_oracles oracles t = { t with oracles }
   let with_coverage coverage t = { t with coverage }
@@ -123,7 +118,7 @@ let correct_engine_misses dialect stmts =
   !empty
 
 (* ground-truth confirmation applies only to the containment kinds; the
-   other oracles (error, crash, metamorphic, lint, user-defined) are their
+   other oracles (error, crash, metamorphic, user-defined) are their
    own witnesses *)
 let confirm_report (config : Config.t) kind script =
   (not config.Config.verify_ground_truth)
@@ -133,7 +128,7 @@ let confirm_report (config : Config.t) kind script =
   | Bug_report.Non_containment ->
       correct_engine_misses config.Config.dialect script
   | Bug_report.Error_oracle | Bug_report.Crash | Bug_report.Metamorphic
-  | Bug_report.Lint | Bug_report.Plan_diff | Bug_report.Const_opt ->
+  | Bug_report.Plan_diff | Bug_report.Const_opt ->
       (* the divergence was observed directly; the two executions are
          their own witnesses *)
       true
@@ -147,20 +142,11 @@ let recorder_for (config : Config.t) =
     Trace.create ~capacity:config.trace_capacity ()
   else Trace.noop
 
-let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
+let run_round ?recorder ?bias:_ (config : Config.t) ~db_seed : Stats.t =
   let open Config in
   let tele = config.telemetry in
   let stats = ref { Stats.empty with Stats.databases = 1 } in
   let rng = Rng.make ~seed:db_seed in
-  (* the frontier accumulated across rounds (guided bias state); a local
-     ref when the caller does not thread one through *)
-  let bias = match bias with Some b -> b | None -> ref Frontier.empty in
-  (* shape planning draws from a private stream so that guidance leaves
-     the synthesis stream untouched: a guided and a blind round diverge
-     only through the shape overrides themselves *)
-  let guided_rng =
-    if config.guided then Some (Rng.make ~seed:(db_seed + 7757)) else None
-  in
   (* planner-path frontier points come from the coverage instrument: the
      delta over this round is what the round itself exercised *)
   let plan_base =
@@ -194,11 +180,6 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
   (* the funnel phase the round is currently in; stamped into reports and
      repro bundles so triage starts from where the oracle fired *)
   let phase = ref "gen_db" in
-  (* whether the static-analysis self-check oracle participates; its
-     observations are counted so campaign summaries show coverage *)
-  let lint_enabled =
-    List.exists (fun o -> String.equal (Oracle.name o) "lint") config.oracles
-  in
   let plan_diff_enabled =
     List.exists
       (fun o -> String.equal (Oracle.name o) "plan_diff")
@@ -256,12 +237,6 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
       }
     in
     (match kind with
-    | Bug_report.Lint ->
-        stats :=
-          {
-            !stats with
-            Stats.lint_diagnostics = (!stats).Stats.lint_diagnostics + 1;
-          }
     | Bug_report.Plan_diff ->
         stats :=
           {
@@ -409,28 +384,6 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                     stats :=
                       { !stats with Stats.pivots = (!stats).Stats.pivots + 1 };
                     (* step 2: one random row per chosen table/view *)
-                    (* Guidance is strictly additive: blind iterations draw
-                       from the main stream exactly as an unguided round
-                       would, so every blind detection is preserved.  On
-                       top, each blind query gains an extra rectified
-                       conjunct rotated through cold predicate kinds, and —
-                       once shape guidance has warmed up — the pivot gains
-                       one extra query aimed at a cold clause combination,
-                       both drawn entirely from the private stream. *)
-                    let shape =
-                      match guided_rng with
-                      | Some grng ->
-                          Gen_bias.plan ~rng:grng ~dialect:config.dialect !bias
-                      | None -> None
-                    in
-                    let pred =
-                      match (guided_rng, shape) with
-                      | Some grng, None ->
-                          Gen_bias.cold_pred ~rng:grng
-                            ~dialect:config.dialect !bias
-                          |> Option.map (fun k -> (grng, k))
-                      | _ -> None
-                    in
                     let chosen =
                       let k =
                         if List.length sources >= 2 && Rng.bool rng then 2
@@ -443,23 +396,6 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                         (fun ((ti : Schema_info.table_info), rows) ->
                           (ti, Rng.pick rng rows))
                         chosen
-                    in
-                    (* the guided extra query picks its own pivot from the
-                       private stream so the shape's join arity can be
-                       realized regardless of the blind pivot's *)
-                    let guided_pivot =
-                      match (guided_rng, shape) with
-                      | Some grng, Some s ->
-                          let k =
-                            min
-                              (max 1 s.Gen_bias.sh_tables)
-                              (min 2 (List.length sources))
-                          in
-                          Rng.sample grng k sources
-                          |> List.map
-                               (fun ((ti : Schema_info.table_info), rows) ->
-                                 (ti, Rng.pick grng rows))
-                      | _ -> pivot
                     in
                     if Trace.enabled recorder then
                       List.iter
@@ -480,34 +416,15 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                     let rec queries q =
                       if q <= 0 then None
                       else
-                        (* iterations above queries_per_pivot are the guided
-                           extra query: every draw comes from the private
-                           stream, so the blind iterations stay
-                           byte-identical to an unguided round *)
-                        let extra = q > config.queries_per_pivot in
-                        let qrng =
-                          if extra then Option.get guided_rng else rng
-                        in
-                        let qshape = if extra then shape else None in
-                        let qpivot = if extra then guided_pivot else pivot in
                         (* Section 7 extension: occasionally rectify to FALSE
                            and require the pivot row to be absent.  Restricted
                            to single-table pivots: with joins, a LEFT JOIN's
                            NULL-extended rows could coincide with the expected
                            tuple. *)
                         let negative =
-                          (not extra)
-                          && config.check_non_containment
+                          config.check_non_containment
                           && List.length pivot = 1
                           && Rng.chance rng 0.2
-                        in
-                        (* no pred conjunct on negative queries: there it
-                           would rectify to FALSE, and an extra FALSE
-                           conjunct can only shrink the result set — i.e.
-                           it could mask a non-containment violation the
-                           blind query would have caught *)
-                        let qpred =
-                          if extra || negative then None else pred
                         in
                         let target = if negative then Tvl.False else Tvl.True in
                         (* steps 3-5 with retries on oracle-uncomputable
@@ -518,9 +435,8 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                             match
                               Gen_query.synthesize ~rectify:config.rectify
                                 ~target ~telemetry:tele
-                                ~exec_backend:config.backend ?shape:qshape
-                                ?pred:qpred ~rng:qrng
-                                ~dialect:config.dialect ~pivot:qpivot
+                                ~exec_backend:config.backend ~rng
+                                ~dialect:config.dialect ~pivot
                                 ~case_sensitive_like:csl
                                 ~max_depth:config.max_depth
                                   (* expression targets are unsound for the
@@ -550,8 +466,7 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                         | Some t -> (
                             (* clause-combination frontier: fingerprint the
                                synthesized query and fold it into the
-                               round's stats (and, when guided, the bias
-                               state steering later shape plans) *)
+                               round's stats *)
                             let fp =
                               Frontier.of_points ~seed:db_seed
                                 (Gen_bias.fingerprint t.Gen_query.query)
@@ -562,8 +477,6 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                                 Stats.frontier =
                                   Frontier.union (!stats).Stats.frontier fp;
                               };
-                            if config.guided then
-                              bias := Frontier.union !bias fp;
                             if Trace.enabled recorder then
                               List.iter
                                 (fun (raw, verdict, rectified) ->
@@ -623,13 +536,6 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                                 let pivot_found =
                                   rs.Engine.Executor.rs_rows <> []
                                 in
-                                if lint_enabled then
-                                  stats :=
-                                    {
-                                      !stats with
-                                      Stats.lint_checks =
-                                        (!stats).Stats.lint_checks + 1;
-                                    };
                                 if plan_diff_enabled then
                                   stats :=
                                     {
@@ -651,7 +557,7 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                                          Oracle.check_stmt = stmt;
                                          negative;
                                          pivot_found;
-                                         check_pivot = qpivot;
+                                         check_pivot = pivot;
                                        })
                                 with
                                 | Some (kind, message) ->
@@ -711,11 +617,7 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                                 | Some (kind, message) -> record kind message
                                 | None -> drop_and_continue ()))
                     in
-                    match
-                      queries
-                        (config.queries_per_pivot
-                        + (match shape with Some _ -> 1 | None -> 0))
-                    with
+                    match queries config.queries_per_pivot with
                     | Some r -> Some r
                     | None -> pivots (k - 1))
             in
@@ -754,8 +656,7 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
           {
             !stats with
             Stats.frontier = Frontier.union (!stats).Stats.frontier f;
-          };
-        if config.guided then bias := Frontier.union !bias f
+          }
       end
   | None -> ());
   (* volume counters are bulk-incremented from the round's [Stats] rather
@@ -772,16 +673,13 @@ let run ?(stop_on_first = false) ~max_queries config =
      (e.g. generation keeps erroring) terminate *)
   let max_databases = max 50 max_queries in
   let recorder = recorder_for config in
-  (* one bias ref for the whole run: guided rounds learn from everything
-     the earlier rounds exercised *)
-  let bias = ref Frontier.empty in
   let rec go acc i =
     if
       acc.Stats.queries >= max_queries || acc.Stats.databases >= max_databases
     then acc
     else
       let round =
-        run_round ~recorder ~bias config
+        run_round ~recorder config
           ~db_seed:(config.Config.seed + (i * 7919))
       in
       let acc = Stats.merge acc round in

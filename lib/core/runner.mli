@@ -66,12 +66,6 @@ module Config : sig
             once.  Ground-truth confirmation always re-runs findings on
             the interpreted reference engine, keeping the two backends
             mutually checking. *)
-    guided : bool;
-        (** coverage-guided generation: each pivot's queries aim at a cold
-            point of the accumulated frontier ({!Gen_bias.plan}) instead of
-            sampling clause shapes blind.  Guidance draws from a private
-            RNG stream, so it changes the sampling distribution without
-            perturbing the synthesis stream's determinism per seed. *)
   }
 
   val make :
@@ -95,15 +89,11 @@ module Config : sig
     ?bundle_dir:string ->
     ?trace_sample:int ->
     ?backend:Engine.Exec_backend.kind ->
-    ?guided:bool ->
     Sqlval.Dialect.t ->
     t
 
   (** Rebind the base seed (e.g. per worker). *)
   val with_seed : int -> t -> t
-
-  (** Toggle coverage-guided generation. *)
-  val with_guided : bool -> t -> t
 
   (** Select the execution backend. *)
   val with_backend : Engine.Exec_backend.kind -> t -> t
@@ -151,12 +141,10 @@ val recorder_for : config -> Trace.t
     flight recorder (see {!recorder_for}); when omitted the round creates
     its own.  Recording never changes the round's outcome.
 
-    [bias] is the guided-generation state: a frontier accumulated across
-    rounds that shape planning reads and each round extends (only read
-    when [Config.guided]; a fresh local one is used when omitted).  The
-    round's own frontier — query fingerprints plus the round's
-    planner-path coverage deltas — is returned in [Stats.frontier]
-    regardless of guidance. *)
+    The round's frontier — query fingerprints plus the round's
+    planner-path coverage deltas — is returned in [Stats.frontier].
+    [bias] is ignored: generation is blind, and the argument stays only
+    so that callers which still pass one keep compiling. *)
 val run_round :
   ?recorder:Trace.t -> ?bias:Frontier.t ref -> config -> db_seed:int -> Stats.t
 

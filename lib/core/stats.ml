@@ -10,8 +10,6 @@ type t = {
   reports : Bug_report.t list;
   truth_values : (Tvl.t * int) list;
   negative_checks : int;
-  lint_checks : int;
-  lint_diagnostics : int;
   plan_checks : int;
   plan_divergences : int;
   const_checks : int;
@@ -40,8 +38,6 @@ let empty =
     reports = [];
     truth_values = canonical_truth_values [];
     negative_checks = 0;
-    lint_checks = 0;
-    lint_diagnostics = 0;
     plan_checks = 0;
     plan_divergences = 0;
     const_checks = 0;
@@ -63,8 +59,6 @@ let merge a b =
         (fun t -> (t, truth_count a.truth_values t + truth_count b.truth_values t))
         canonical_truths;
     negative_checks = a.negative_checks + b.negative_checks;
-    lint_checks = a.lint_checks + b.lint_checks;
-    lint_diagnostics = a.lint_diagnostics + b.lint_diagnostics;
     plan_checks = a.plan_checks + b.plan_checks;
     plan_divergences = a.plan_divergences + b.plan_divergences;
     const_checks = a.const_checks + b.const_checks;
@@ -88,11 +82,9 @@ let summary t =
   Printf.sprintf
     "databases=%d pivots=%d containment-checks=%d statements=%d \
      interp-failures=%d false-positives=%d negative-checks=%d \
-     lint-checks=%d lint-diagnostics=%d plan-checks=%d plan-divergences=%d \
-     const-checks=%d const-divergences=%d frontier-points=%d findings=%d"
+     plan-checks=%d plan-divergences=%d const-checks=%d const-divergences=%d frontier-points=%d findings=%d"
     t.databases t.pivots t.queries t.statements t.interp_failures
-    t.false_positives t.negative_checks t.lint_checks t.lint_diagnostics
-    t.plan_checks t.plan_divergences t.const_checks t.const_divergences
+    t.false_positives t.negative_checks t.plan_checks t.plan_divergences t.const_checks t.const_divergences
     (Frontier.cardinal t.frontier)
     (List.length t.reports)
 

@@ -24,10 +24,6 @@ type t = {
           always in canonical [TRUE; FALSE; UNKNOWN] key order *)
   negative_checks : int;
       (** how many checks were of the non-containment variant *)
-  lint_checks : int;
-      (** statements and plans analyzed by the [lint] self-check oracle *)
-  lint_diagnostics : int;
-      (** lint-oracle reports recorded (each carries >= 1 diagnostic) *)
   plan_checks : int;
       (** containment checks the plan-diff oracle re-executed under forced
           plans *)

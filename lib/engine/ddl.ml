@@ -422,8 +422,9 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                       then new_name
                       else pk)
                     schema.Storage.Schema.primary_key;
-                (* rewrite index definitions; the injected Listing 8 defect
-                   leaves expression indexes pointing at the old name *)
+                (* rewrite index definitions and partial-index predicates;
+                   the injected Listing 8 defect leaves expression indexes
+                   pointing at the old name *)
                 let rename_expr e =
                   A.map_expr
                     (fun node ->
@@ -453,7 +454,13 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                       in
                       (* mutate in place via functional update trick: the
                          record fields are immutable, so rebuild the index *)
-                      let ix' = { ix with Storage.Index.definition } in
+                      let ix' =
+                        {
+                          ix with
+                          Storage.Index.definition;
+                          where = Option.map rename_expr ix.Storage.Index.where;
+                        }
+                      in
                       catalog.Storage.Catalog.indexes <-
                         List.map
                           (fun (k, v) ->
@@ -531,16 +538,21 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
           match Storage.Schema.find_column schema cname with
           | None -> Error (err Errors.No_such_column "no such column: %s" cname)
           | Some (i, col) ->
+              (* key columns and partial-index predicates both count, as
+                 in sqlite *)
+              let uses e =
+                A.expr_columns e
+                |> List.exists (fun (_, c) ->
+                       String.lowercase_ascii c = String.lowercase_ascii cname)
+              in
               let indexed =
                 Storage.Catalog.indexes_on catalog name
                 |> List.exists (fun ix ->
                        List.exists
-                         (fun (ic : A.indexed_column) ->
-                           A.expr_columns ic.A.ic_expr
-                           |> List.exists (fun (_, c) ->
-                                  String.lowercase_ascii c
-                                  = String.lowercase_ascii cname))
-                         ix.Storage.Index.definition)
+                         (fun (ic : A.indexed_column) -> uses ic.A.ic_expr)
+                         ix.Storage.Index.definition
+                       || Option.fold ~none:false ~some:uses
+                            ix.Storage.Index.where)
               in
               if col.Storage.Schema.in_primary_key || indexed then
                 Error

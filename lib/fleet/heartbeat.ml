@@ -8,8 +8,6 @@ type counters = {
   interp_failures : int;
   false_positives : int;
   negative_checks : int;
-  lint_checks : int;
-  lint_diagnostics : int;
   plan_checks : int;
   plan_divergences : int;
   const_checks : int;
@@ -28,8 +26,6 @@ let zero_counters =
     interp_failures = 0;
     false_positives = 0;
     negative_checks = 0;
-    lint_checks = 0;
-    lint_diagnostics = 0;
     plan_checks = 0;
     plan_divergences = 0;
     const_checks = 0;
@@ -53,8 +49,6 @@ let counters_of_stats (s : Pqs.Stats.t) =
     interp_failures = s.Pqs.Stats.interp_failures;
     false_positives = s.Pqs.Stats.false_positives;
     negative_checks = s.Pqs.Stats.negative_checks;
-    lint_checks = s.Pqs.Stats.lint_checks;
-    lint_diagnostics = s.Pqs.Stats.lint_diagnostics;
     plan_checks = s.Pqs.Stats.plan_checks;
     plan_divergences = s.Pqs.Stats.plan_divergences;
     const_checks = s.Pqs.Stats.const_checks;
@@ -73,8 +67,6 @@ let add_counters a b =
     interp_failures = a.interp_failures + b.interp_failures;
     false_positives = a.false_positives + b.false_positives;
     negative_checks = a.negative_checks + b.negative_checks;
-    lint_checks = a.lint_checks + b.lint_checks;
-    lint_diagnostics = a.lint_diagnostics + b.lint_diagnostics;
     plan_checks = a.plan_checks + b.plan_checks;
     plan_divergences = a.plan_divergences + b.plan_divergences;
     const_checks = a.const_checks + b.const_checks;
@@ -95,8 +87,6 @@ let counter_fields c =
     ("interp_failures", c.interp_failures);
     ("false_positives", c.false_positives);
     ("negative_checks", c.negative_checks);
-    ("lint_checks", c.lint_checks);
-    ("lint_diagnostics", c.lint_diagnostics);
     ("plan_checks", c.plan_checks);
     ("plan_divergences", c.plan_divergences);
     ("const_checks", c.const_checks);
@@ -120,8 +110,6 @@ let counters_of_json j =
     interp_failures = get "interp_failures";
     false_positives = get "false_positives";
     negative_checks = get "negative_checks";
-    lint_checks = get "lint_checks";
-    lint_diagnostics = get "lint_diagnostics";
     plan_checks = get "plan_checks";
     plan_divergences = get "plan_divergences";
     const_checks = get "const_checks";

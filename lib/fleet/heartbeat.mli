@@ -29,8 +29,6 @@ type counters = {
   interp_failures : int;
   false_positives : int;
   negative_checks : int;
-  lint_checks : int;
-  lint_diagnostics : int;
   plan_checks : int;
   plan_divergences : int;
   const_checks : int;

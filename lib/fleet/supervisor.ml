@@ -72,7 +72,6 @@ let worker_loop fleet (rc : Pqs.Runner.config) ~shard ~slot ~lo ~hi =
       Gc.set { g with Gc.minor_heap_size = 1 lsl 21 }
   in
   let recorder = Pqs.Runner.recorder_for rc in
-  let bias = ref Frontier.empty in
   let bugs = rc.Pqs.Runner.Config.bugs in
   let seq = ref 0 in
   let emit ~next ~rounds ~batch_wall ~stats ~tele =
@@ -125,7 +124,7 @@ let worker_loop fleet (rc : Pqs.Runner.config) ~shard ~slot ~lo ~hi =
       let rounds = ref [] in
       for s = seed to batch_hi - 1 do
         let r0 = Telemetry.Clock.now () in
-        let round = Pqs.Runner.run_round ~recorder ~bias config ~db_seed:s in
+        let round = Pqs.Runner.run_round ~recorder config ~db_seed:s in
         Telemetry.observe tele "pqs_round_seconds"
           (Telemetry.Clock.now () -. r0);
         Telemetry.inc tele "pqs_rounds_total";

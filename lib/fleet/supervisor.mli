@@ -20,10 +20,7 @@
     gates on it).
 
     Workers run their rounds single-domain, so forking is safe; the
-    caller must not have spawned other domains.  With
-    [Runner.Config.guided] each shard's bias is local to its lease, so
-    guided fleet results are not comparable to a sequential reference —
-    the exact-merge invariant is stated for blind configs. *)
+    caller must not have spawned other domains. *)
 
 type config = {
   workers : int;  (** worker slots (concurrent shard processes) *)

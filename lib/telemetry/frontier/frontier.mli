@@ -63,7 +63,7 @@ val hit_in : universe:string list -> t -> int
 val fraction : universe:string list -> t -> float
 
 (** Universe points never hit, in universe order — the stale frontier the
-    dashboard lists and guided generation aims at. *)
+    dashboard lists. *)
 val cold : universe:string list -> t -> string list
 
 (** Up to [n] universe points with the fewest hits (never-hit points

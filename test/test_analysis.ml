@@ -1,4 +1,4 @@
-(* The static analyzer's contracts (lib/analysis + the lint oracle):
+(* The static analyzer's contracts (lib/analysis + Pqs.Lint):
 
    - golden diagnostics: hand-written ill-typed SQL, fed through the real
      parser, produces exactly the expected structured diagnostics;
@@ -9,8 +9,8 @@
      WHERE clause is consistent with the oracle interpreter's concrete
      evaluation on the pivot row, and a rectified predicate is never
      statically DEFINITELY NULL;
-   - neutrality: a campaign with the lint oracle reports the identical
-     bug set as one without it on the same seeds. *)
+   - campaign: an observer that analyzes every containment query of a
+     bug-free campaign collects no diagnostic and changes no counter. *)
 
 open Sqlval
 module A = Sqlast.Ast
@@ -291,49 +291,45 @@ let test_pivot_crosscheck () =
     [ Dialect.Sqlite_like; Dialect.Mysql_like; Dialect.Postgres_like ];
   Alcotest.(check bool) "cross-checked a meaningful corpus" true (!checked > 30)
 
-(* ---------- neutrality: the lint oracle changes no campaign verdict ---------- *)
+(* ---------- campaign: analysis as a property over a real run ---------- *)
 
-let report_key (r : Pqs.Bug_report.t) =
-  ( (r.Pqs.Bug_report.seed, Pqs.Bug_report.oracle_label r.Pqs.Bug_report.oracle),
-    (r.Pqs.Bug_report.message, Pqs.Bug_report.script r) )
-
+(* A test-local observer runs the analyzer over every containment query a
+   default bug-free campaign executes and always passes, so it must leave
+   the campaign unchanged and collect no diagnostic. *)
 let test_campaign_neutral () =
-  let bugs =
-    Engine.Bug.set_of_list (Engine.Bug.for_dialect Dialect.Sqlite_like)
+  let analyzed = ref 0 and diags = ref [] in
+  let observer =
+    Pqs.Oracle.make ~name:"analysis" (fun ctx -> function
+      | Pqs.Oracle.Containment_check { Pqs.Oracle.check_stmt; _ } ->
+          let session = ctx.Pqs.Oracle.ctx_session in
+          let plan_diags =
+            match check_stmt with
+            | A.Select_stmt q -> Pqs.Lint.lint_plans session q
+            | _ -> []
+          in
+          incr analyzed;
+          diags :=
+            List.filter Analysis.Diagnostic.is_error
+              (Pqs.Lint.check_stmt session check_stmt @ plan_diags)
+            @ !diags;
+          Pqs.Oracle.Pass
+      | _ -> Pqs.Oracle.Pass)
   in
-  let plain = Pqs.Runner.Config.make ~bugs Dialect.Sqlite_like in
-  let linted =
-    Pqs.Runner.Config.make ~bugs
-      ~oracles:(Pqs.Oracle.defaults @ [ Pqs.Lint.oracle ])
-      Dialect.Sqlite_like
+  let run oracles =
+    Pqs.Campaign.run ~domains:1 ~seed_lo:1 ~seed_hi:21
+      (Pqs.Runner.Config.make ~oracles Dialect.Sqlite_like)
   in
-  let a = Pqs.Campaign.run ~domains:2 ~seed_lo:1 ~seed_hi:20 plain in
-  let b = Pqs.Campaign.run ~domains:2 ~seed_lo:1 ~seed_hi:20 linted in
-  Alcotest.(check bool) "campaign found bugs to compare" true
-    (Pqs.Campaign.reports a <> []);
-  Alcotest.(check (list (pair (pair int string) (pair string string))))
-    "identical bug sets with and without the lint oracle"
-    (List.map report_key (Pqs.Campaign.reports a))
-    (List.map report_key (Pqs.Campaign.reports b));
-  (* the lint oracle did run: its work is visible in the stats *)
-  Alcotest.(check bool) "lint checks counted" true
-    (b.Pqs.Campaign.stats.Pqs.Stats.lint_checks > 0);
-  Alcotest.(check int) "no lint checks without the oracle" 0
-    a.Pqs.Campaign.stats.Pqs.Stats.lint_checks;
-  (* and on a clean engine it stays silent over a real run *)
-  let clean =
-    Pqs.Runner.Config.make
-      ~oracles:(Pqs.Oracle.defaults @ [ Pqs.Lint.oracle ])
-      Dialect.Sqlite_like
-  in
-  let c = Pqs.Campaign.run ~domains:2 ~seed_lo:1 ~seed_hi:12 clean in
+  let plain = run Pqs.Oracle.defaults in
+  let observed = run (Pqs.Oracle.defaults @ [ observer ]) in
+  Alcotest.(check bool) "queries analyzed" true (!analyzed > 0);
   Alcotest.(check (list string))
-    "no findings on a clean engine" []
-    (List.map
-       (fun r -> r.Pqs.Bug_report.message)
-       (Pqs.Campaign.reports c));
-  Alcotest.(check int) "no diagnostics on a clean engine" 0
-    c.Pqs.Campaign.stats.Pqs.Stats.lint_diagnostics
+    "no diagnostics on a clean engine" []
+    (List.map Analysis.Diagnostic.to_string !diags);
+  Alcotest.(check string) "the observer changes no campaign counter"
+    (Pqs.Stats.summary plain.Pqs.Campaign.stats)
+    (Pqs.Stats.summary observed.Pqs.Campaign.stats);
+  Alcotest.(check int) "no findings on a clean engine" 0
+    (List.length (Pqs.Campaign.reports observed))
 
 let () =
   Alcotest.run "analysis"

@@ -12,28 +12,56 @@ let report_key (r : Pqs.Bug_report.t) =
 
 let strip_reports (s : Pqs.Stats.t) = { s with Pqs.Stats.reports = [] }
 
-let test_determinism () =
+let determinism_configs =
   let bugs = Engine.Bug.set_of_list (Engine.Bug.for_dialect Dialect.Sqlite_like) in
-  let config = Pqs.Runner.Config.make ~bugs Dialect.Sqlite_like in
-  let seq = Pqs.Campaign.run ~domains:1 ~seed_lo:1 ~seed_hi:25 config in
-  let par = Pqs.Campaign.run ~domains:4 ~seed_lo:1 ~seed_hi:25 config in
-  Alcotest.(check int)
-    "same database count" 25 (par.Pqs.Campaign.stats.Pqs.Stats.databases + 1);
-  Alcotest.(check bool) "campaign found bugs to compare" true
-    (Pqs.Campaign.reports seq <> []);
-  Alcotest.(check (list (pair (pair int string) (pair string string))))
-    "identical sorted bug-report sets"
-    (List.map report_key (Pqs.Campaign.reports seq))
-    (List.map report_key (Pqs.Campaign.reports par));
-  (* the merged stats agree on every counter, not just the reports *)
-  Alcotest.(check bool) "identical merged stats" true
-    (strip_reports seq.Pqs.Campaign.stats
-    = strip_reports par.Pqs.Campaign.stats);
-  (* and outcomes come back in ascending seed order regardless of worker *)
-  let seeds = List.map (fun o -> o.Pqs.Campaign.seed) par.Pqs.Campaign.outcomes in
-  Alcotest.(check (list int)) "outcomes sorted by seed"
-    (List.init 24 (fun i -> i + 1))
-    seeds
+  (* every oracle of the table: the defaults plus each flagged one *)
+  let all_oracles =
+    Pqs.Oracle.defaults
+    @ List.filter_map
+        (fun (e : Pqs.Oracle_table.entry) ->
+          if e.Pqs.Oracle_table.default then None
+          else Some (e.Pqs.Oracle_table.make ()))
+        Pqs.Oracle_table.all
+  in
+  [
+    ("default oracles", Pqs.Runner.Config.make ~bugs Dialect.Sqlite_like);
+    ( "every table oracle",
+      Pqs.Runner.Config.make ~bugs ~oracles:all_oracles Dialect.Sqlite_like );
+  ]
+
+let test_determinism () =
+  List.iter
+    (fun (name, config) ->
+      let check what = Alcotest.check what in
+      let seq = Pqs.Campaign.run ~domains:1 ~seed_lo:1 ~seed_hi:25 config in
+      let par = Pqs.Campaign.run ~domains:4 ~seed_lo:1 ~seed_hi:25 config in
+      check Alcotest.int
+        (name ^ ": same database count")
+        25
+        (par.Pqs.Campaign.stats.Pqs.Stats.databases + 1);
+      check Alcotest.bool
+        (name ^ ": campaign found bugs to compare")
+        true
+        (Pqs.Campaign.reports seq <> []);
+      check
+        Alcotest.(list (pair (pair int string) (pair string string)))
+        (name ^ ": identical sorted bug-report sets")
+        (List.map report_key (Pqs.Campaign.reports seq))
+        (List.map report_key (Pqs.Campaign.reports par));
+      (* the merged stats agree on every counter, not just the reports *)
+      check Alcotest.bool
+        (name ^ ": identical merged stats")
+        true
+        (strip_reports seq.Pqs.Campaign.stats
+        = strip_reports par.Pqs.Campaign.stats);
+      (* and outcomes come back in ascending seed order regardless of
+         worker *)
+      check
+        Alcotest.(list int)
+        (name ^ ": outcomes sorted by seed")
+        (List.init 24 (fun i -> i + 1))
+        (List.map (fun o -> o.Pqs.Campaign.seed) par.Pqs.Campaign.outcomes))
+    determinism_configs
 
 let test_coverage_merging () =
   let cov = Engine.Coverage.create () in

@@ -17,7 +17,7 @@
    - detection: each injected constant-folding bug diverges on a bounded
      sweep; the oracle reports it with the rewrite trail; the repro
      bundle round-trips through [Trace.Bundle] and [Replay.check_file];
-   - plumbing: oracle token round-trip, registry entry, stats counters
+   - plumbing: oracle token round-trip, oracle-table entry, stats counters
      merge additively. *)
 
 open Sqlval
@@ -417,13 +417,13 @@ let test_oracle_token () =
     (Pqs.Bug_report.oracle_token Pqs.Bug_report.Const_opt);
   Alcotest.(check bool) "token round-trips" true
     (Pqs.Bug_report.oracle_of_token "const_opt" = Some Pqs.Bug_report.Const_opt);
-  match Pqs.Oracle.Registry.find "const_opt" with
-  | None -> Alcotest.fail "const_opt not registered"
+  match Pqs.Oracle_table.find "const_opt" with
+  | None -> Alcotest.fail "const_opt missing from the oracle table"
   | Some e ->
       Alcotest.(check (option string)) "flag" (Some "const-opt")
-        e.Pqs.Oracle.Registry.reg_flag;
+        e.Pqs.Oracle_table.flag;
       Alcotest.(check bool) "not a default oracle" false
-        e.Pqs.Oracle.Registry.reg_default
+        e.Pqs.Oracle_table.default
 
 let divergence_message () =
   let session = fixture_session ~bugs:fold_bugs () in

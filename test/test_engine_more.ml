@@ -186,6 +186,52 @@ let test_partial_index_maintenance () =
   ignore (exec_sql s "DELETE FROM t0 WHERE c0 = 5");
   Alcotest.(check int) "after delete" 2 (Storage.Index.entry_count ix)
 
+(* Schema changes keep partial-index predicates valid: a rename reaches
+   into the predicate, and a column the predicate reads cannot be dropped
+   (as in sqlite).  Otherwise later writes fail halfway with "no such
+   column" and leave the heap and the index out of step. *)
+let partial_index_table =
+  [
+    "CREATE TABLE t1(c0 INT PRIMARY KEY, c1 TEXT, c2 REAL)";
+    "INSERT INTO t1 VALUES (NULL,-6,''''),(NULL,'A',NULL),(0.5,X'3178',NULL)";
+  ]
+
+let replace_rows =
+  "INSERT OR REPLACE INTO t1 VALUES (0.5,X'3178',-44),(0.5,X'3178',NULL)"
+
+let has_half_row rows =
+  List.exists (fun r -> Value.equal r.(0) (Value.Real 0.5)) rows
+
+let test_rename_column_partial_index () =
+  let s = Engine.Session.create Dialect.Sqlite_like in
+  script s
+    (partial_index_table
+    @ [
+        "CREATE INDEX i ON t1(c1) WHERE (c0 IS NOT NULL)";
+        "ALTER TABLE t1 RENAME COLUMN c0 TO c9";
+        replace_rows;
+      ]);
+  let rows = rows_sql s "SELECT * FROM t1 WHERE c9 >= 0.5" in
+  Alcotest.(check bool)
+    ("c9 >= 0.5 returns the 0.5 row: " ^ show_rows rows)
+    true (has_half_row rows);
+  let ix =
+    Option.get (Storage.Catalog.find_index (Engine.Session.catalog s) "i")
+  in
+  Alcotest.(check int) "the partial index holds every non-null c9" 3
+    (Storage.Index.entry_count ix)
+
+let test_drop_column_partial_index () =
+  let s = Engine.Session.create Dialect.Sqlite_like in
+  script s
+    (partial_index_table @ [ "CREATE INDEX i ON t1(c1) WHERE (c2 IS NULL)" ]);
+  ignore (exec_sql_err s "ALTER TABLE t1 DROP COLUMN c2");
+  script s [ replace_rows ];
+  let rows = rows_sql s "SELECT * FROM t1 WHERE c0 >= 0.5" in
+  Alcotest.(check bool)
+    ("c0 >= 0.5 returns the 0.5 row: " ^ show_rows rows)
+    true (has_half_row rows)
+
 let test_expression_index_scan () =
   let s = Engine.Session.create Dialect.Sqlite_like in
   script s
@@ -503,6 +549,10 @@ let () =
             test_unique_index_on_conflicting_data;
           Alcotest.test_case "partial index maintenance" `Quick
             test_partial_index_maintenance;
+          Alcotest.test_case "rename column in a partial index" `Quick
+            test_rename_column_partial_index;
+          Alcotest.test_case "drop column of a partial index" `Quick
+            test_drop_column_partial_index;
           Alcotest.test_case "expression index scan" `Quick test_expression_index_scan;
           Alcotest.test_case "views" `Quick test_views_follow_base_table;
           Alcotest.test_case "serial" `Quick test_serial_autoincrement;

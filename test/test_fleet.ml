@@ -4,7 +4,8 @@
      encode is the identity on the mergeable payload (qcheck), every
      proper prefix of an encoding is rejected (a torn write can never
      decode), unsupported versions are rejected, unknown fields are
-     ignored (records can grow);
+     ignored (records can grow, and lines from older writers carrying
+     retired counters still decode);
    - the tailer: complete lines only, a trailing unterminated line is
      buffered until its newline arrives, in-place truncation and
      file replacement both surface as [Rotated] without losing the old
@@ -100,9 +101,8 @@ let golden_line =
    \"at\":12.500,\"range\":[64,96],\"next\":72,\"rounds\":8,\"rps\":41.5,\
    \"stats\":{\"databases\":8,\"pivots\":32,\"queries\":40,\
    \"statements\":120,\"interp_failures\":1,\"false_positives\":0,\
-   \"negative_checks\":4,\"lint_checks\":0,\"lint_diagnostics\":0,\
-   \"plan_checks\":2,\"plan_divergences\":0,\"const_checks\":3,\
-   \"const_divergences\":1,\"truth_true\":30,\"truth_false\":8,\
+   \"negative_checks\":4,\"plan_checks\":2,\"plan_divergences\":0,\
+   \"const_checks\":3,\"const_divergences\":1,\"truth_true\":30,\"truth_false\":8,\
    \"truth_unknown\":2},\"points\":[{\"p\":\"expr:like\",\"h\":2,\"s\":65},\
    {\"p\":\"shape:join\",\"h\":5,\"s\":64}],\"reports\":[{\"fp\":\
    \"0123abcd\",\"oracle\":\"containment\",\"seed\":65,\"bundle\":\
@@ -149,10 +149,28 @@ let test_versioning () =
     "{\"type\":\"heartbeat\",\"future_field\":[1,2],"
     ^ String.sub golden_line 1 (String.length golden_line - 1)
   in
-  match Fleet.Heartbeat.decode grown with
+  (match Fleet.Heartbeat.decode grown with
   | Error e -> Alcotest.failf "grown record rejected: %s" e
   | Ok hb ->
       checkb "grown record keeps payload" true
+        (Fleet.Heartbeat.equal_payload golden_heartbeat hb));
+  (* a line from an older writer still carries the retired lint counters *)
+  let old =
+    let marker = "\"stats\":{" in
+    let rec at i =
+      if String.sub golden_line i (String.length marker) = marker then
+        i + String.length marker
+      else at (i + 1)
+    in
+    let i = at 0 in
+    String.sub golden_line 0 i
+    ^ "\"lint_checks\":5,\"lint_diagnostics\":1,"
+    ^ String.sub golden_line i (String.length golden_line - i)
+  in
+  match Fleet.Heartbeat.decode old with
+  | Error e -> Alcotest.failf "record with lint counters rejected: %s" e
+  | Ok hb ->
+      checkb "record with lint counters keeps payload" true
         (Fleet.Heartbeat.equal_payload golden_heartbeat hb)
 
 (* floats chosen to survive the codec's decimal formatting *)
@@ -171,7 +189,7 @@ let gen_heartbeat =
   let* span = int_bound 64 in
   let* rounds = int_bound 32 in
   let* rps4 = int_bound 2_000 in
-  let* counts = list_size (return 16) small in
+  let* counts = list_size (return 14) small in
   let* points =
     list_size (int_bound 6)
       (let* p = name in
@@ -229,7 +247,7 @@ let gen_heartbeat =
   in
   let counters =
     match counts with
-    | [ a; b; c; d; e; f; g; h; i; j; k; l; m; n; o; p ] ->
+    | [ a; b; c; d; e; f; g; j; k; l; m; n; o; p ] ->
         {
           Fleet.Heartbeat.databases = a;
           pivots = b;
@@ -238,8 +256,6 @@ let gen_heartbeat =
           interp_failures = e;
           false_positives = f;
           negative_checks = g;
-          lint_checks = h;
-          lint_diagnostics = i;
           plan_checks = j;
           plan_divergences = k;
           const_checks = l;

@@ -8,10 +8,9 @@
    - coverage-instrument monoid laws through [Engine.Coverage.points],
      including points hit but never statically declared (extras must
      survive [union] / [merge_into] with exact counts);
-   - the [Gen_bias] vocabulary: shape points round-trip through
-     encode/decode, the per-dialect universe is duplicate-free with the
-     documented cardinality, fingerprints lead with the shape point, and
-     cold-point planning aims at the least-exercised combination;
+   - the [Gen_bias] vocabulary: the per-dialect universe is
+     duplicate-free with the documented cardinality, and fingerprints
+     lead with the shape point;
    - the Chrome-trace export: every round becomes one complete event
      whose [round_id] equals its seed (the cross-link to flight-recorder
      logs and bundle names), worker timelines are named, and rounds that
@@ -19,9 +18,7 @@
    - the dashboard: incremental [feed_line] aggregation, rate/funnel
      rendering, the HTML report, and whole-trace ingestion of a real
      campaign trace;
-   - guided generation is strictly additive: a guided campaign reports on
-     every seed the blind campaign reports on (same seeds, same config),
-     and the frontier telemetry gauges/histograms are exported. *)
+   - a campaign exports the frontier telemetry gauges/histograms. *)
 
 open Sqlval
 
@@ -372,26 +369,6 @@ let test_cov_extras () =
 
 (* ---------- Gen_bias vocabulary ---------- *)
 
-let test_shape_roundtrip () =
-  let shapes =
-    List.filter
-      (fun p -> String.length p > 6 && String.sub p 0 6 = "shape.")
-      (Pqs.Gen_bias.universe Dialect.Sqlite_like)
-  in
-  Alcotest.(check bool) "shape points exist" true (shapes <> []);
-  List.iter
-    (fun p ->
-      match Pqs.Gen_bias.shape_of_point p with
-      | None -> Alcotest.failf "%s does not decode" p
-      | Some s ->
-          Alcotest.(check string)
-            (p ^ " round-trips") p
-            (Pqs.Gen_bias.point_of_shape s))
-    shapes;
-  Alcotest.(check (option Alcotest.reject))
-    "malformed points rejected" None
-    (Pqs.Gen_bias.shape_of_point "shape.jweird.v0.w1.d0.o0.g0")
-
 let test_universe () =
   let u = Pqs.Gen_bias.universe Dialect.Sqlite_like in
   Alcotest.(check int) "sqlite universe cardinality" 147 (List.length u);
@@ -429,66 +406,6 @@ let test_fingerprint () =
         "shape point first" "shape.jsingle.v0.w1.d0.o0.g0" shape;
       Alcotest.(check (list string)) "expr multiset" [ "expr.cmp" ] exprs
   | [] -> Alcotest.fail "empty fingerprint"
-
-let test_cold_planning () =
-  let dialect = Dialect.Sqlite_like in
-  let universe = Pqs.Gen_bias.universe dialect in
-  let shapes =
-    List.filter
-      (fun p -> String.length p > 6 && String.sub p 0 6 = "shape.")
-      universe
-  in
-  let the_cold = "shape.jleft.v1.w3.d1.o1.g0" in
-  Alcotest.(check bool) "chosen cold point is in the universe" true
-    (List.mem the_cold shapes);
-  (* warm every shape point except one; plan must aim exactly there *)
-  let warmed =
-    List.fold_left
-      (fun f p -> if p = the_cold then f else Frontier.hit f ~seed:1 p)
-      Frontier.empty shapes
-  in
-  let fired = ref 0 in
-  for seed = 1 to 50 do
-    let rng = Pqs.Rng.make ~seed in
-    match Pqs.Gen_bias.plan ~rng ~dialect warmed with
-    | Some s ->
-        incr fired;
-        Alcotest.(check string)
-          "plan aims at the cold combination" the_cold
-          (Pqs.Gen_bias.point_of_shape s)
-    | None -> ()
-  done;
-  Alcotest.(check bool) "warm frontier fires shape guidance" true (!fired > 0);
-  (* a stone-cold frontier must not fire (blind sampling keeps the wheel) *)
-  for seed = 1 to 50 do
-    let rng = Pqs.Rng.make ~seed in
-    match Pqs.Gen_bias.plan ~rng ~dialect Frontier.empty with
-    | Some _ -> Alcotest.fail "shape guidance fired on an all-cold frontier"
-    | None -> ()
-  done;
-  (* cold_pred rotates onto the one unexercised WHERE-targetable kind *)
-  let kinds =
-    List.filter
-      (fun p -> String.length p > 5 && String.sub p 0 5 = "expr.")
-      universe
-  in
-  let warmed_kinds =
-    List.fold_left
-      (fun f p -> if p = "expr.glob" then f else Frontier.hit f ~seed:1 p)
-      Frontier.empty kinds
-  in
-  Alcotest.(check (option string))
-    "cold_pred picks the unexercised kind" (Some "glob")
-    (Pqs.Gen_bias.cold_pred ~rng:(Pqs.Rng.make ~seed:1) ~dialect warmed_kinds);
-  (* aggregates are never a predicate target, even when coldest *)
-  let all_but_agg =
-    List.fold_left
-      (fun f p -> if p = "expr.agg" then f else Frontier.hit f ~seed:1 p)
-      Frontier.empty kinds
-  in
-  match Pqs.Gen_bias.cold_pred ~rng:(Pqs.Rng.make ~seed:1) ~dialect all_but_agg with
-  | Some "agg" -> Alcotest.fail "cold_pred targeted an aggregate"
-  | Some _ | None -> ()
 
 (* ---------- Chrome-trace round linkage ---------- *)
 
@@ -640,34 +557,6 @@ let test_dashboard_of_trace_file () =
        (Frontier.points c.Pqs.Campaign.stats.Pqs.Stats.frontier))
     (List.map fst (Frontier.points (Pqs.Dashboard.frontier d)))
 
-(* ---------- guided generation is strictly additive ---------- *)
-
-let seeds_with_reports (c : Pqs.Campaign.t) =
-  List.sort_uniq compare
-    (List.map (fun r -> r.Pqs.Bug_report.seed) (Pqs.Campaign.reports c))
-
-let test_guided_superset () =
-  let bugs =
-    Engine.Bug.set_of_list (Engine.Bug.for_dialect Dialect.Sqlite_like)
-  in
-  let run guided =
-    let config = Pqs.Runner.Config.make ~bugs ~guided Dialect.Sqlite_like in
-    Pqs.Campaign.run ~domains:1 ~seed_lo:1 ~seed_hi:101 config
-  in
-  let blind = run false and guided = run true in
-  let blind_seeds = seeds_with_reports blind in
-  Alcotest.(check bool) "blind campaign found bugs to compare" true
-    (blind_seeds <> []);
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        (Printf.sprintf "guided also reports on seed %d" s)
-        true
-        (List.mem s (seeds_with_reports guided)))
-    blind_seeds;
-  Alcotest.(check bool) "guided campaign accumulated a frontier" true
-    (Frontier.cardinal guided.Pqs.Campaign.stats.Pqs.Stats.frontier > 0)
-
 let test_frontier_telemetry_export () =
   let tele = Telemetry.create () in
   let config = Pqs.Runner.Config.make ~telemetry:tele Dialect.Sqlite_like in
@@ -723,11 +612,8 @@ let () =
         @ [ Alcotest.test_case "undeclared extras" `Quick test_cov_extras ] );
       ( "gen_bias",
         [
-          Alcotest.test_case "shape point round-trip" `Quick
-            test_shape_roundtrip;
           Alcotest.test_case "universe" `Quick test_universe;
           Alcotest.test_case "fingerprint" `Quick test_fingerprint;
-          Alcotest.test_case "cold planning" `Quick test_cold_planning;
         ] );
       ( "chrome trace",
         [
@@ -739,10 +625,8 @@ let () =
           Alcotest.test_case "whole-trace ingestion" `Quick
             test_dashboard_of_trace_file;
         ] );
-      ( "guided campaign",
+      ( "campaign",
         [
-          Alcotest.test_case "additive guidance is a superset" `Quick
-            test_guided_superset;
           Alcotest.test_case "frontier telemetry export" `Quick
             test_frontier_telemetry_export;
         ] );

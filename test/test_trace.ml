@@ -421,11 +421,23 @@ let test_oracle_tokens () =
       Pqs.Bug_report.Error_oracle;
       Pqs.Bug_report.Crash;
       Pqs.Bug_report.Metamorphic;
-      Pqs.Bug_report.Lint;
       Pqs.Bug_report.Plan_diff;
+      Pqs.Bug_report.Const_opt;
     ];
   Alcotest.(check bool) "unknown token rejected" true
-    (Pqs.Bug_report.oracle_of_token "nonsense" = None)
+    (Pqs.Bug_report.oracle_of_token "nonsense" = None);
+  (* the retired lint oracle's token, as old bundles carry it *)
+  Alcotest.(check bool) "retired lint token rejected" true
+    (Pqs.Bug_report.oracle_of_token "lint" = None);
+  let path = Filename.temp_file "lint-bundle" ".sql" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "-- dialect: sqlite\n-- seed: 1\n-- oracle: lint\nSELECT 1;\n");
+  let replayed = Pqs.Replay.check_file path in
+  Sys.remove path;
+  match replayed with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a lint bundle replayed"
 
 (* ---------- campaign integration ---------- *)
 
