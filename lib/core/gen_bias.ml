@@ -14,48 +14,64 @@ type shape = {
 (* ------------------------------------------------------------------ *)
 (* Shape points                                                         *)
 
-let join_token = function
-  | `Single -> "single"
-  | `Cross -> "cross"
-  | `Inner -> "inner"
-  | `Left -> "left"
-
 let b01 b = if b then 1 else 0
+let join_tokens = [| "single"; "cross"; "inner"; "left" |]
 
-let point_of_shape s =
-  Printf.sprintf "shape.j%s.v%d.w%d.d%d.o%d.g%d" (join_token s.sh_join)
-    (b01 s.sh_sub) s.sh_where (b01 s.sh_distinct) (b01 s.sh_order)
-    (b01 s.sh_group)
+let join_index = function `Single -> 0 | `Cross -> 1 | `Inner -> 2 | `Left -> 3
+
+(* position of a shape in [shape_names]: a mixed-radix number over
+   join (4) x sub (2) x where arity 1..3 (3) x distinct x order x group *)
+let shape_slot s =
+  (((((join_index s.sh_join * 2) + b01 s.sh_sub) * 3 + (s.sh_where - 1)) * 2
+    + b01 s.sh_distinct)
+   * 2
+  + b01 s.sh_order)
+  * 2
+  + b01 s.sh_group
+
+(* every shape point's name, rendered once: fingerprinting runs per
+   synthesized query and must not format strings *)
+let shape_names =
+  Array.init (4 * 2 * 3 * 2 * 2 * 2) (fun i ->
+      Printf.sprintf "shape.j%s.v%d.w%d.d%d.o%d.g%d"
+        join_tokens.(i / 48)
+        (i / 24 mod 2)
+        ((i / 8 mod 3) + 1)
+        (i / 4 mod 2) (i / 2 mod 2) (i mod 2))
+
+let point_of_shape s = shape_names.(shape_slot s)
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprinting                                                       *)
 
-let kind_of_node = function
+(* the [expr.*] point of a node, as a literal: no string is built per
+   node *)
+let point_of_node = function
   | A.Lit _ | A.Col _ -> None
-  | A.Unary (A.Not, _) -> Some "not"
-  | A.Unary ((A.Neg | A.Pos | A.Bit_not), _) -> Some "unary"
+  | A.Unary (A.Not, _) -> Some "expr.not"
+  | A.Unary ((A.Neg | A.Pos | A.Bit_not), _) -> Some "expr.unary"
   | A.Binary (op, _, _) ->
       Some
         (match op with
-        | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge -> "cmp"
-        | A.Null_safe_eq -> "nullsafe_eq"
-        | A.And | A.Or -> "logic"
-        | A.Add | A.Sub | A.Mul | A.Div | A.Rem -> "arith"
-        | A.Concat -> "concat"
-        | A.Bit_and | A.Bit_or | A.Shift_left | A.Shift_right -> "bitop")
-  | A.Is { rhs = A.Is_null; _ } -> Some "is_null"
-  | A.Is { rhs = A.Is_true | A.Is_false; _ } -> Some "is_bool"
-  | A.Is { rhs = A.Is_expr _; _ } -> Some "is_expr"
-  | A.Is { rhs = A.Is_distinct_from _; _ } -> Some "is_distinct"
-  | A.Between _ -> Some "between"
-  | A.In_list _ -> Some "in"
-  | A.Like _ -> Some "like"
-  | A.Glob _ -> Some "glob"
-  | A.Cast _ -> Some "cast"
-  | A.Func _ -> Some "func"
-  | A.Agg _ -> Some "agg"
-  | A.Case _ -> Some "case"
-  | A.Collate _ -> Some "collate"
+        | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge -> "expr.cmp"
+        | A.Null_safe_eq -> "expr.nullsafe_eq"
+        | A.And | A.Or -> "expr.logic"
+        | A.Add | A.Sub | A.Mul | A.Div | A.Rem -> "expr.arith"
+        | A.Concat -> "expr.concat"
+        | A.Bit_and | A.Bit_or | A.Shift_left | A.Shift_right -> "expr.bitop")
+  | A.Is { rhs = A.Is_null; _ } -> Some "expr.is_null"
+  | A.Is { rhs = A.Is_true | A.Is_false; _ } -> Some "expr.is_bool"
+  | A.Is { rhs = A.Is_expr _; _ } -> Some "expr.is_expr"
+  | A.Is { rhs = A.Is_distinct_from _; _ } -> Some "expr.is_distinct"
+  | A.Between _ -> Some "expr.between"
+  | A.In_list _ -> Some "expr.in"
+  | A.Like _ -> Some "expr.like"
+  | A.Glob _ -> Some "expr.glob"
+  | A.Cast _ -> Some "expr.cast"
+  | A.Func _ -> Some "expr.func"
+  | A.Agg _ -> Some "expr.agg"
+  | A.Case _ -> Some "expr.case"
+  | A.Collate _ -> Some "expr.collate"
 
 let rec exprs_of_from = function
   | A.F_table _ -> []
@@ -113,9 +129,7 @@ let fingerprint (s : A.select) =
       (fun e ->
         A.fold_expr
           (fun acc n ->
-            match kind_of_node n with
-            | Some k -> ("expr." ^ k) :: acc
-            | None -> acc)
+            match point_of_node n with Some p -> p :: acc | None -> acc)
           [] e
         |> List.rev)
       (exprs_of_select s)

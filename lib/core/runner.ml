@@ -146,6 +146,7 @@ let run_round ?recorder ?bias:_ (config : Config.t) ~db_seed : Stats.t =
   let open Config in
   let tele = config.telemetry in
   let stats = ref { Stats.empty with Stats.databases = 1 } in
+  let query_points = ref [] in
   let rng = Rng.make ~seed:db_seed in
   (* planner-path frontier points come from the coverage instrument: the
      delta over this round is what the round itself exercised *)
@@ -465,18 +466,11 @@ let run_round ?recorder ?bias:_ (config : Config.t) ~db_seed : Stats.t =
                         | None -> queries (q - 1)
                         | Some t -> (
                             (* clause-combination frontier: fingerprint the
-                               synthesized query and fold it into the
-                               round's stats *)
-                            let fp =
-                              Frontier.of_points ~seed:db_seed
-                                (Gen_bias.fingerprint t.Gen_query.query)
-                            in
-                            stats :=
-                              {
-                                !stats with
-                                Stats.frontier =
-                                  Frontier.union (!stats).Stats.frontier fp;
-                              };
+                               synthesized query; the round folds its
+                               points once, when it ends *)
+                            query_points :=
+                              Gen_bias.fingerprint t.Gen_query.query
+                              :: !query_points;
                             if Trace.enabled recorder then
                               List.iter
                                 (fun (raw, verdict, rectified) ->
@@ -639,26 +633,29 @@ let run_round ?recorder ?bias:_ (config : Config.t) ~db_seed : Stats.t =
           (Trace.to_json recorder)
       with Sys_error _ | Unix.Unix_error (_, _, _) -> ())
   | _ -> ());
-  (* planner-path frontier points: whatever access paths this round drove
-     the coverage instrument through *)
-  (match config.coverage with
-  | Some cov ->
-      let deltas =
+  (* the round's frontier: its queries' points plus whatever planner access
+     paths it drove the coverage instrument through, in one fold (every
+     point carries this round's seed, so one fold equals per-check folds) *)
+  let plan_points =
+    match config.coverage with
+    | Some cov ->
         List.concat_map
           (fun (p, before) ->
             let d = Engine.Coverage.hit_count cov p - before in
             List.init (max 0 d) (fun _ -> p))
           plan_base
-      in
-      if deltas <> [] then begin
-        let f = Frontier.of_points ~seed:db_seed deltas in
-        stats :=
-          {
-            !stats with
-            Stats.frontier = Frontier.union (!stats).Stats.frontier f;
-          }
-      end
-  | None -> ());
+    | None -> []
+  in
+  (match List.concat (plan_points :: !query_points) with
+  | [] -> ()
+  | points ->
+      stats :=
+        {
+          !stats with
+          Stats.frontier =
+            Frontier.union (!stats).Stats.frontier
+              (Frontier.of_points ~seed:db_seed points);
+        });
   (* volume counters are bulk-incremented from the round's [Stats] rather
      than one [inc] per statement: same exported totals, no per-statement
      registry traffic on the hot path *)

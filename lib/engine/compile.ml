@@ -56,33 +56,33 @@ type cenv = {
    a value. *)
 let resolve_slot (bindings : Executor.binding list) ~table ~column :
     (int * int * Datatype.t * Collation.t, Errors.t) result =
-  let col = String.lowercase_ascii column in
   let lookup bi (b : Executor.binding) =
     let rec go i =
       if i >= Array.length b.Executor.b_columns then None
       else
         let name, dt, coll = b.Executor.b_columns.(i) in
-        if name = col then Some (bi, i, dt, coll) else go (i + 1)
+        if Storage.Schema.name_equal name column then Some (bi, i, dt, coll)
+        else go (i + 1)
     in
     go 0
   in
   match table with
   | Some t -> (
-      let t = String.lowercase_ascii t in
       let rec find bi = function
         | [] -> None
         | b :: rest ->
-            if b.Executor.b_alias = t then Some (bi, b) else find (bi + 1) rest
+            if Storage.Schema.name_equal b.Executor.b_alias t then Some (bi, b)
+            else find (bi + 1) rest
       in
       match find 0 bindings with
-      | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t)
+      | None -> Error (Executor.no_such_binding t)
       | Some (bi, b) -> (
           match lookup bi b with
           | Some r -> Ok r
           | None ->
               Error
-                (Errors.makef Errors.No_such_column "no such column: %s.%s" t
-                   column)))
+                (Errors.makef Errors.No_such_column "no such column: %s.%s"
+                   (String.lowercase_ascii t) column)))
   | None -> (
       match List.filter_map Fun.id (List.mapi lookup bindings) with
       | [ r ] -> Ok r
@@ -533,13 +533,11 @@ let compile_items c items =
     (function
       | A.Star -> P_star
       | A.Table_star t -> (
-          let tl = String.lowercase_ascii t in
           let rec find i = function
-            | [] ->
-                P_error
-                  (Errors.makef Errors.No_such_table "no such table: %s" tl)
+            | [] -> P_error (Executor.no_such_binding t)
             | b :: rest ->
-                if b.Executor.b_alias = tl then P_binding i
+                if Storage.Schema.name_equal b.Executor.b_alias t then
+                  P_binding i
                 else find (i + 1) rest
           in
           find 0 c.layout)

@@ -17,9 +17,7 @@ let row_env (ctx : Executor.ctx) (schema : Storage.Schema.table)
     let ok_table =
       match table with
       | None -> true
-      | Some t ->
-          String.lowercase_ascii t
-          = String.lowercase_ascii schema.Storage.Schema.table_name
+      | Some t -> Storage.Schema.name_equal t schema.Storage.Schema.table_name
     in
     if not ok_table then
       Error (err Errors.No_such_table "no such table: %s" (Option.value ~default:"?" table))
@@ -55,14 +53,23 @@ let resolved_collations (schema : Storage.Schema.table)
              | _ -> Collation.Binary))
        definition)
 
+(* A plain column reads the row's slot; an expression, or a name that no
+   longer resolves (for its error), goes through the evaluator. *)
 let index_key_for_row ctx (ts : Storage.Catalog.table_state)
     (ix : Storage.Index.t) (row : Storage.Row.t) :
     (Value.t array, Errors.t) result =
-  let env = row_env ctx ts.Storage.Catalog.schema row in
+  let schema = ts.Storage.Catalog.schema in
+  let key_value = function
+    | A.Col { table = None; column } as e -> (
+        match Storage.Schema.column_index schema column with
+        | Some i -> Ok (Storage.Row.get row i)
+        | None -> Eval.eval (row_env ctx schema row) e)
+    | e -> Eval.eval (row_env ctx schema row) e
+  in
   let rec go acc = function
     | [] -> Ok (Array.of_list (List.rev acc))
     | (ic : A.indexed_column) :: rest ->
-        let* v = Eval.eval env ic.A.ic_expr in
+        let* v = key_value ic.A.ic_expr in
         go (v :: acc) rest
   in
   go [] ix.Storage.Index.definition
@@ -248,7 +255,7 @@ let create_table ctx (ct : A.create_table) : (unit, Errors.t) result =
           let not_null =
             List.mem A.C_not_null c.A.col_constraints
             || (List.exists
-                  (fun pk -> String.lowercase_ascii pk = String.lowercase_ascii c.A.col_name)
+                  (fun pk -> Storage.Schema.name_equal pk c.A.col_name)
                   primary_key
                &&
                (* sqlite rowid tables historically allow NULL PKs *)
@@ -268,8 +275,7 @@ let create_table ctx (ct : A.create_table) : (unit, Errors.t) result =
             default;
             in_primary_key =
               List.exists
-                (fun pk ->
-                  String.lowercase_ascii pk = String.lowercase_ascii c.A.col_name)
+                (fun pk -> Storage.Schema.name_equal pk c.A.col_name)
                 primary_key;
             single_unique = List.mem A.C_unique c.A.col_constraints;
           })
@@ -288,8 +294,8 @@ let create_table ctx (ct : A.create_table) : (unit, Errors.t) result =
                 not
                   (List.exists
                      (fun (pc : Storage.Schema.column) ->
-                       String.lowercase_ascii pc.Storage.Schema.name
-                       = String.lowercase_ascii c.Storage.Schema.name)
+                       Storage.Schema.name_equal pc.Storage.Schema.name
+                         c.Storage.Schema.name)
                      parent_cols))
               own_columns
           in
@@ -386,7 +392,7 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
             catalog.Storage.Catalog.tables <-
               List.map
                 (fun (k, v) ->
-                  if k = String.lowercase_ascii name then
+                  if Storage.Schema.name_equal k name then
                     (String.lowercase_ascii new_name, v)
                   else (k, v))
                 catalog.Storage.Catalog.tables;
@@ -395,9 +401,7 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
             catalog.Storage.Catalog.indexes <-
               List.map
                 (fun (k, ix) ->
-                  if
-                    String.lowercase_ascii ix.Storage.Index.on_table
-                    = String.lowercase_ascii name
+                  if Storage.Schema.name_equal ix.Storage.Index.on_table name
                   then (k, { ix with Storage.Index.on_table = new_name })
                   else (k, ix))
                 catalog.Storage.Catalog.indexes;
@@ -418,8 +422,7 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                 schema.Storage.Schema.primary_key <-
                   List.map
                     (fun pk ->
-                      if String.lowercase_ascii pk = String.lowercase_ascii old_name
-                      then new_name
+                      if Storage.Schema.name_equal pk old_name then new_name
                       else pk)
                     schema.Storage.Schema.primary_key;
                 (* rewrite index definitions and partial-index predicates;
@@ -430,8 +433,7 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                     (fun node ->
                       match node with
                       | A.Col { table; column }
-                        when String.lowercase_ascii column
-                             = String.lowercase_ascii old_name ->
+                        when Storage.Schema.name_equal column old_name ->
                           A.Col { table; column = new_name }
                       | _ -> node)
                     e
@@ -465,9 +467,8 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                         List.map
                           (fun (k, v) ->
                             if
-                              k
-                              = String.lowercase_ascii
-                                  ix.Storage.Index.index_name
+                              Storage.Schema.name_equal k
+                                ix.Storage.Index.index_name
                             then (k, ix')
                             else (k, v))
                           catalog.Storage.Catalog.indexes
@@ -542,8 +543,7 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                  in sqlite *)
               let uses e =
                 A.expr_columns e
-                |> List.exists (fun (_, c) ->
-                       String.lowercase_ascii c = String.lowercase_ascii cname)
+                |> List.exists (fun (_, c) -> Storage.Schema.name_equal c cname)
               in
               let indexed =
                 Storage.Catalog.indexes_on catalog name

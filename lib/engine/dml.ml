@@ -20,11 +20,13 @@ let find_table (ctx : Executor.ctx) table =
 (* ------------------------------------------------------------------ *)
 (* Index maintenance helpers                                            *)
 
+(* A statement resolves its table's index list once ([indexes_of]) and
+   passes it down: DML never changes which indexes a table has. *)
 let indexes_of ctx (ts : Storage.Catalog.table_state) =
   Storage.Catalog.indexes_on ctx.Executor.catalog
     ts.Storage.Catalog.schema.Storage.Schema.table_name
 
-let add_row_to_indexes ctx ts (row : Storage.Row.t) =
+let add_row_to_indexes ctx ts indexes (row : Storage.Row.t) =
   let rec go = function
     | [] -> Ok ()
     | ix :: rest ->
@@ -36,9 +38,9 @@ let add_row_to_indexes ctx ts (row : Storage.Row.t) =
         end
         else go rest
   in
-  go (indexes_of ctx ts)
+  go indexes
 
-let remove_row_from_indexes ctx ts (row : Storage.Row.t) =
+let remove_row_from_indexes ctx ts indexes (row : Storage.Row.t) =
   let rec go = function
     | [] -> Ok ()
     | ix :: rest ->
@@ -51,46 +53,52 @@ let remove_row_from_indexes ctx ts (row : Storage.Row.t) =
         end
         else go rest
   in
-  go (indexes_of ctx ts)
+  go indexes
 
-let remove_row ctx ts (row : Storage.Row.t) =
-  let* () = remove_row_from_indexes ctx ts row in
+let remove_row ctx ts indexes (row : Storage.Row.t) =
+  let* () = remove_row_from_indexes ctx ts indexes row in
   Storage.Heap.delete ts.Storage.Catalog.heap row.Storage.Row.rowid;
   Ok ()
 
 (* rollback helper: undo a partially indexed row without reporting further
    errors (used when index-key evaluation fails mid-insert/update, keeping
    statements atomic like a real engine) *)
-let best_effort_unindex ctx ts (row : Storage.Row.t) =
+let best_effort_unindex ctx ts indexes (row : Storage.Row.t) =
   List.iter
     (fun ix ->
       match Ddl.index_key_for_row ctx ts ix row with
       | Ok key ->
           ignore (Storage.Index.remove ix ~key ~rowid:row.Storage.Row.rowid)
       | Error _ -> ())
-    (indexes_of ctx ts)
+    indexes
 
-(* The implicit primary-key index is the first autoindex over the PK
-   columns; used by the Listing 4 injection. *)
-let pk_index ctx (ts : Storage.Catalog.table_state) =
+(* Listing 4 injection: on a sqlite WITHOUT ROWID table whose primary-key
+   index sits beside a NOCASE index, the primary-key probe folds case.
+   Returns that primary-key index when the defect applies. *)
+let collapsing_pk_index ctx (ts : Storage.Catalog.table_state) indexes =
   let schema = ts.Storage.Catalog.schema in
-  if schema.Storage.Schema.primary_key = [] then None
-  else
-    indexes_of ctx ts
-    |> List.find_opt (fun ix ->
-           ix.Storage.Index.unique
-           && List.map
-                (fun (ic : A.indexed_column) ->
-                  match ic.A.ic_expr with
-                  | A.Col { column; _ } -> String.lowercase_ascii column
-                  | _ -> "?")
-                ix.Storage.Index.definition
-              = List.map String.lowercase_ascii schema.Storage.Schema.primary_key)
+  if
+    schema.Storage.Schema.without_rowid
+    && Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
+    && bug ctx Bug.Sq_nocase_unique_pk_collapse
+  then
+    match Executor.pk_index schema indexes with
+    | Some pk
+      when List.exists
+             (fun other ->
+               other.Storage.Index.index_name <> pk.Storage.Index.index_name
+               && Array.exists
+                    (fun c -> Collation.equal c Collation.Nocase)
+                    other.Storage.Index.collations)
+             indexes ->
+        Some pk
+    | _ -> None
+  else None
 
 (* Conflicting rowids for a candidate row across all unique indexes;
    returns (index, conflicting rowids) pairs. *)
-let unique_conflicts_for ctx ts (row : Storage.Row.t) =
-  let schema = ts.Storage.Catalog.schema in
+let unique_conflicts_for ctx ts indexes (row : Storage.Row.t) =
+  let collapsing = collapsing_pk_index ctx ts indexes in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | ix :: rest ->
@@ -100,30 +108,14 @@ let unique_conflicts_for ctx ts (row : Storage.Row.t) =
           if not included then go acc rest
           else
             let* key = Ddl.index_key_for_row ctx ts ix row in
-            (* Listing 4 injection: on a WITHOUT ROWID table whose PK
-               column also carries a NOCASE index, the PK probe folds
-               case *)
+            let collapsed =
+              match collapsing with
+              | Some pk ->
+                  pk.Storage.Index.index_name = ix.Storage.Index.index_name
+              | None -> false
+            in
             let key =
-              let is_pk_ix =
-                match pk_index ctx ts with
-                | Some pk -> pk.Storage.Index.index_name = ix.Storage.Index.index_name
-                | None -> false
-              in
-              if
-                is_pk_ix && schema.Storage.Schema.without_rowid
-                && Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
-                && bug ctx Bug.Sq_nocase_unique_pk_collapse
-                &&
-                (* another index on the same leading column uses NOCASE *)
-                List.exists
-                  (fun other ->
-                    other.Storage.Index.index_name
-                    <> ix.Storage.Index.index_name
-                    && Array.exists
-                         (fun c -> Collation.equal c Collation.Nocase)
-                         other.Storage.Index.collations)
-                  (indexes_of ctx ts)
-              then
+              if collapsed then
                 Array.map
                   (fun v ->
                     match v with
@@ -143,25 +135,11 @@ let unique_conflicts_for ctx ts (row : Storage.Row.t) =
             (* the buggy folded key may not hit the binary index entries:
                probe under NOCASE manually *)
             let conflicts =
-              if conflicts = [] && Array.exists
-                   (fun v -> match v with Value.Text _ -> true | _ -> false)
-                   key
-                 && schema.Storage.Schema.without_rowid
-                 && bug ctx Bug.Sq_nocase_unique_pk_collapse
-                 && Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
-                 && (match pk_index ctx ts with
-                    | Some pk ->
-                        pk.Storage.Index.index_name
-                        = ix.Storage.Index.index_name
-                    | None -> false)
-                 && List.exists
-                      (fun other ->
-                        other.Storage.Index.index_name
-                        <> ix.Storage.Index.index_name
-                        && Array.exists
-                             (fun c -> Collation.equal c Collation.Nocase)
-                             other.Storage.Index.collations)
-                      (indexes_of ctx ts)
+              if
+                conflicts = [] && collapsed
+                && Array.exists
+                     (fun v -> match v with Value.Text _ -> true | _ -> false)
+                     key
               then begin
                 let acc = ref [] in
                 Storage.Index.iter
@@ -185,7 +163,7 @@ let unique_conflicts_for ctx ts (row : Storage.Row.t) =
             if conflicts = [] then go acc rest
             else go ((ix, conflicts) :: acc) rest
   in
-  go [] (indexes_of ctx ts)
+  go [] indexes
 
 let unique_error (ts : Storage.Catalog.table_state) (ix : Storage.Index.t) =
   let col =
@@ -283,6 +261,7 @@ let insert ctx ~table ~columns ~rows ~action =
   | A.On_conflict_abort -> ());
   let* ts = find_table ctx table in
   let schema = ts.Storage.Catalog.schema in
+  let indexes = indexes_of ctx ts in
   let ncols = Array.length schema.Storage.Schema.columns in
   (* map provided column names to indices *)
   let* targets =
@@ -410,15 +389,15 @@ let insert ctx ~table ~columns ~rows ~action =
             ~rowid:ts.Storage.Catalog.heap.Storage.Heap.next_rowid values
         in
         cov ctx "dml.unique_check";
-        let* conflicts = unique_conflicts_for ctx ts candidate in
+        let* conflicts = unique_conflicts_for ctx ts indexes candidate in
         match (conflicts, action) with
         | [], _ -> (
             let row = Storage.Heap.insert ts.Storage.Catalog.heap values in
-            match add_row_to_indexes ctx ts row with
+            match add_row_to_indexes ctx ts indexes row with
             | Ok () -> Ok true
             | Error e ->
                 (* atomicity: index-key evaluation failed, undo the row *)
-                best_effort_unindex ctx ts row;
+                best_effort_unindex ctx ts indexes row;
                 Storage.Heap.delete ts.Storage.Catalog.heap row.Storage.Row.rowid;
                 Error e)
         | _ :: _, A.On_conflict_ignore -> Ok false
@@ -429,28 +408,21 @@ let insert ctx ~table ~columns ~rows ~action =
                && Option.fold ~none:false
                     ~some:(fun pk ->
                       pk.Storage.Index.index_name = ix.Storage.Index.index_name)
-                    (pk_index ctx ts) ->
+                    (Executor.pk_index schema indexes) ->
             (* Listing 4: the insert "succeeds" but the table's primary-key
                b-tree (the WITHOUT ROWID storage) keeps only the first,
                case-folded entry — so scans see one row while the heap (and
                the pivot-row selection) holds both *)
             let row = Storage.Heap.insert ts.Storage.Catalog.heap values in
-            let rec add_except = function
-              | [] -> Ok ()
-              | other :: rest ->
-                  if
-                    other.Storage.Index.index_name = ix.Storage.Index.index_name
-                  then add_except rest
-                  else
-                    let* included = Ddl.row_in_partial ctx ts other row in
-                    if included then begin
-                      let* key = Ddl.index_key_for_row ctx ts other row in
-                      Storage.Index.add other ~key ~rowid:row.Storage.Row.rowid;
-                      add_except rest
-                    end
-                    else add_except rest
+            let* () =
+              add_row_to_indexes ctx ts
+                (List.filter
+                   (fun other ->
+                     other.Storage.Index.index_name
+                     <> ix.Storage.Index.index_name)
+                   indexes)
+                row
             in
-            let* () = add_except (indexes_of ctx ts) in
             Ok true
         | (ix, _) :: _, A.On_conflict_abort -> Error (unique_error ts ix)
         | conflicts, _ ->
@@ -464,7 +436,7 @@ let insert ctx ~table ~columns ~rows ~action =
                 | id :: rest -> (
                     match Storage.Heap.find ts.Storage.Catalog.heap id with
                     | Some victim ->
-                        let* () = remove_row ctx ts victim in
+                        let* () = remove_row ctx ts indexes victim in
                         drop rest
                     | None -> drop rest)
               in
@@ -481,10 +453,10 @@ let insert ctx ~table ~columns ~rows ~action =
               Storage.Catalog.corrupt ctx.Executor.catalog
                 "database disk image is malformed";
             let row = Storage.Heap.insert ts.Storage.Catalog.heap values in
-            (match add_row_to_indexes ctx ts row with
+            (match add_row_to_indexes ctx ts indexes row with
             | Ok () -> Ok true
             | Error e ->
-                best_effort_unindex ctx ts row;
+                best_effort_unindex ctx ts indexes row;
                 Storage.Heap.delete ts.Storage.Catalog.heap row.Storage.Row.rowid;
                 Error e)
       end
@@ -559,10 +531,18 @@ let update ctx ~table ~assignments ~where ~action =
     go [] assignments
   in
   let rows = Storage.Heap.to_list ts.Storage.Catalog.heap in
-  let skip_partial_maintenance =
-    Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
-    && bug ctx Bug.Sq_partial_index_update_skip
+  let indexes = indexes_of ctx ts in
+  (* detach the old row from indexes first so self-conflicts don't count;
+     the buggy variant skips partial indexes entirely *)
+  let maintained_indexes =
+    if
+      Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
+      && bug ctx Bug.Sq_partial_index_update_skip
+    then List.filter (fun ix -> not (Storage.Index.is_partial ix)) indexes
+    else indexes
   in
+  let detach r = remove_row_from_indexes ctx ts maintained_indexes r in
+  let attach r = add_row_to_indexes ctx ts maintained_indexes r in
   let update_one (row : Storage.Row.t) : (bool, Errors.t) result =
     let env = Ddl.row_env ctx schema row in
     let* matches =
@@ -605,43 +585,8 @@ let update ctx ~table ~assignments ~where ~action =
       | Ok (), _ ->
       let candidate = Storage.Row.make ~rowid:row.Storage.Row.rowid new_values in
       cov ctx "dml.unique_check";
-      (* detach the old row from indexes first so self-conflicts don't
-         count; buggy variant skips partial indexes entirely *)
-      let maintained_indexes =
-        indexes_of ctx ts
-        |> List.filter (fun ix ->
-               not (skip_partial_maintenance && Storage.Index.is_partial ix))
-      in
-      let detach r =
-        let rec go = function
-          | [] -> Ok ()
-          | ix :: rest ->
-              let* included = Ddl.row_in_partial ctx ts ix r in
-              if included then begin
-                let* key = Ddl.index_key_for_row ctx ts ix r in
-                ignore (Storage.Index.remove ix ~key ~rowid:r.Storage.Row.rowid);
-                go rest
-              end
-              else go rest
-        in
-        go maintained_indexes
-      in
-      let attach r =
-        let rec go = function
-          | [] -> Ok ()
-          | ix :: rest ->
-              let* included = Ddl.row_in_partial ctx ts ix r in
-              if included then begin
-                let* key = Ddl.index_key_for_row ctx ts ix r in
-                Storage.Index.add ix ~key ~rowid:r.Storage.Row.rowid;
-                go rest
-              end
-              else go rest
-        in
-        go maintained_indexes
-      in
       let* () = detach row in
-      let* conflicts = unique_conflicts_for ctx ts candidate in
+      let* conflicts = unique_conflicts_for ctx ts indexes candidate in
       match (conflicts, action) with
       | [], _ -> (
           ignore
@@ -651,7 +596,7 @@ let update ctx ~table ~assignments ~where ~action =
           | Ok () -> Ok true
           | Error e ->
               (* atomicity: restore the previous row version *)
-              best_effort_unindex ctx ts candidate;
+              best_effort_unindex ctx ts indexes candidate;
               ignore
                 (Storage.Heap.insert_with_rowid ts.Storage.Catalog.heap
                    ~rowid:row.Storage.Row.rowid row.Storage.Row.values);
@@ -674,7 +619,7 @@ let update ctx ~table ~assignments ~where ~action =
               | id :: rest -> (
                   match Storage.Heap.find ts.Storage.Catalog.heap id with
                   | Some victim ->
-                      let* () = remove_row ctx ts victim in
+                      let* () = remove_row ctx ts indexes victim in
                       drop rest
                   | None -> drop rest)
             in
@@ -719,6 +664,7 @@ let delete ctx ~table ~where =
   let* ts = find_table ctx table in
   let schema = ts.Storage.Catalog.schema in
   let rows = Storage.Heap.to_list ts.Storage.Catalog.heap in
+  let indexes = indexes_of ctx ts in
   let rec go n = function
     | [] -> Ok n
     | (row : Storage.Row.t) :: rest ->
@@ -733,7 +679,7 @@ let delete ctx ~table ~where =
               | Error e -> Error e)
         in
         if matches then
-          let* () = remove_row ctx ts row in
+          let* () = remove_row ctx ts indexes row in
           go (n + 1) rest
         else go n rest
   in

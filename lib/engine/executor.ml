@@ -281,15 +281,19 @@ let binding_of_table (schema : Storage.Schema.table) ~alias values =
     b_values = values;
   }
 
+(* a qualifier that names no binding; bindings hold lowercase aliases and
+   the message names the qualifier the same way *)
+let no_such_binding t =
+  Errors.makef Errors.No_such_table "no such table: %s" (String.lowercase_ascii t)
+
 let resolve_in (bindings : binding list) ~table ~column :
     (Eval.resolved, Errors.t) result =
-  let col = String.lowercase_ascii column in
   let lookup b =
     let rec go i =
       if i >= Array.length b.b_columns then None
       else
         let name, dt, coll = b.b_columns.(i) in
-        if name = col then
+        if Storage.Schema.name_equal name column then
           Some { Eval.value = b.b_values.(i); datatype = dt; collation = coll }
         else go (i + 1)
     in
@@ -297,16 +301,17 @@ let resolve_in (bindings : binding list) ~table ~column :
   in
   match table with
   | Some t -> (
-      let t = String.lowercase_ascii t in
-      match List.find_opt (fun b -> b.b_alias = t) bindings with
-      | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t)
+      match
+        List.find_opt (fun b -> Storage.Schema.name_equal b.b_alias t) bindings
+      with
+      | None -> Error (no_such_binding t)
       | Some b -> (
           match lookup b with
           | Some r -> Ok r
           | None ->
               Error
-                (Errors.makef Errors.No_such_column "no such column: %s.%s" t
-                   column)))
+                (Errors.makef Errors.No_such_column "no such column: %s.%s"
+                   (String.lowercase_ascii t) column)))
   | None -> (
       let hits = List.filter_map lookup bindings in
       match hits with
@@ -384,20 +389,21 @@ let rec scan_table ctx (ts : Storage.Catalog.table_state) :
 (* The implicit unique index over the primary-key columns, if any: for
    WITHOUT ROWID tables it *is* the table storage, so full scans read
    through it (which is what makes the Listing 4 defect observable). *)
-let pk_index_of ctx (schema : Storage.Schema.table) =
-  if schema.Storage.Schema.primary_key = [] then None
-  else
-    Storage.Catalog.indexes_on ctx.catalog schema.Storage.Schema.table_name
-    |> List.find_opt (fun ix ->
-           ix.Storage.Index.unique
-           && List.map
-                (fun (ic : A.indexed_column) ->
-                  match ic.A.ic_expr with
-                  | A.Col { column; _ } -> String.lowercase_ascii column
-                  | _ -> "?")
-                ix.Storage.Index.definition
-              = List.map String.lowercase_ascii
-                  schema.Storage.Schema.primary_key)
+let pk_index (schema : Storage.Schema.table) indexes =
+  let rec over_pk definition pk =
+    match (definition, pk) with
+    | [], [] -> true
+    | { A.ic_expr = A.Col { column; _ }; _ } :: definition, p :: pk ->
+        Storage.Schema.name_equal column p && over_pk definition pk
+    | _ -> false
+  in
+  match schema.Storage.Schema.primary_key with
+  | [] -> None
+  | pk ->
+      List.find_opt
+        (fun ix ->
+          ix.Storage.Index.unique && over_pk ix.Storage.Index.definition pk)
+        indexes
 
 (* Candidate rowids for a single-table WHERE via the planner; [None] means
    scan everything. *)
@@ -423,14 +429,20 @@ let rec path_rowids ?(distinct = false) ctx (path : Planner.path) :
       in
       Some (count_index_rows ctx rowids)
   | Planner.Index_like_prefix { index; prefix } ->
+      (* LIKE also matches numbers and blobs through their text form, so
+         besides the prefix's text range the scan visits every non-text
+         key (those below [Text ""] and from [Blob ""] up), in index
+         order; the WHERE filter decides on each fetched row *)
       let rowids =
         profile_index ctx index (fun () ->
             let acc = ref [] in
+            let add _ rowid = acc := rowid :: !acc in
+            Storage.Index.iter_range ~hi:([| Value.Text "" |], false) add index;
             Storage.Index.iter_range
               ~lo:([| Value.Text prefix |], true)
               ~hi:([| Value.Text (prefix ^ "\255") |], true)
-              (fun _ rowid -> acc := rowid :: !acc)
-              index;
+              add index;
+            Storage.Index.iter_range ~lo:([| Value.Blob "" |], true) add index;
             List.rev !acc)
       in
       Some (count_index_rows ctx rowids)
@@ -638,7 +650,11 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name ?block_size
               if tracing ctx then path_btree_profile path else (0, 0)
             in
             let full_scan () =
-              match pk_index_of ctx schema with
+              match
+                pk_index schema
+                  (Storage.Catalog.indexes_on ctx.catalog
+                     schema.Storage.Schema.table_name)
+              with
               | Some pk when schema.Storage.Schema.without_rowid ->
                   (* WITHOUT ROWID: the PK b-tree is the table *)
                   let acc = ref [] in
@@ -923,8 +939,7 @@ let group_exprs ctx (s : A.select) =
                      (fun g ->
                        match g with
                        | A.Col { column; _ } ->
-                           String.lowercase_ascii column
-                           = String.lowercase_ascii pk
+                           Storage.Schema.name_equal column pk
                        | _ -> false)
                      s.A.sel_group_by)
                  schema.Storage.Schema.primary_key
@@ -1219,10 +1234,13 @@ and output_columns ctx (bindings_sample : binding list) items :
                Array.to_list (Array.map (fun (n, _, _) -> n) b.b_columns))
              bindings_sample)
     | A.Table_star t -> (
-        let t = String.lowercase_ascii t in
-        match List.find_opt (fun b -> b.b_alias = t) bindings_sample with
+        match
+          List.find_opt
+            (fun b -> Storage.Schema.name_equal b.b_alias t)
+            bindings_sample
+        with
         | Some b -> Ok (Array.to_list (Array.map (fun (n, _, _) -> n) b.b_columns))
-        | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t))
+        | None -> Error (no_such_binding t))
     | A.Sel_expr (_, Some alias) -> Ok [ alias ]
     | A.Sel_expr (A.Col { column; _ }, None) -> Ok [ column ]
     | A.Sel_expr (e, None) -> Ok [ Sqlast.Sql_printer.expr Dialect.Sqlite_like e ]
@@ -1240,10 +1258,11 @@ and project_row ctx tuple items : (Value.t array, Errors.t) result =
   let item_values = function
     | A.Star -> Ok (List.concat_map (fun b -> Array.to_list b.b_values) tuple)
     | A.Table_star t -> (
-        let t = String.lowercase_ascii t in
-        match List.find_opt (fun b -> b.b_alias = t) tuple with
+        match
+          List.find_opt (fun b -> Storage.Schema.name_equal b.b_alias t) tuple
+        with
         | Some b -> Ok (Array.to_list b.b_values)
-        | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t))
+        | None -> Error (no_such_binding t))
     | A.Sel_expr (e, _) ->
         let* v = Eval.eval env e in
         Ok [ v ]

@@ -119,6 +119,9 @@ type binding = {
 val binding_of_table :
   Storage.Schema.table -> alias:string -> Value.t array -> binding
 
+(** The error for a qualifier ([t.col], [t.*]) that names no binding. *)
+val no_such_binding : string -> Errors.t
+
 (** Column-reference resolution over in-scope bindings: qualified
     references must match an alias; unqualified references must match
     exactly one column across all bindings. *)
@@ -145,6 +148,11 @@ type from_ctx = {
 
 val has_cast : Sqlast.Ast.expr -> bool
 val has_ifnull : Sqlast.Ast.expr -> bool
+
+(** The implicit unique index over the table's primary-key columns among
+    its [indexes], if any (for WITHOUT ROWID tables, the table storage). *)
+val pk_index :
+  Storage.Schema.table -> Storage.Index.t list -> Storage.Index.t option
 
 (** Scan one base table under [where]: injected planner/index bug gates,
     access-path choice (honouring {!ctx.force}), rowid fetch, and the

@@ -44,7 +44,9 @@ let copy t =
     like_pragma_touched = t.like_pragma_touched;
   }
 
-let get t name = Hashtbl.find_opt t.values (String.lowercase_ascii name)
+(* Keys are stored lowercase; [set] folds the user's spelling on the way
+   in, readers pass lowercase names. *)
+let get t name = Hashtbl.find_opt t.values name
 
 let set t name value =
   let name = String.lowercase_ascii name in

@@ -12,9 +12,12 @@ val copy : t -> t
 (** Known option names for the dialect with their default values. *)
 val known : Sqlval.Dialect.t -> (string * Sqlval.Value.t) list
 
-(** Set an option; errors on unknown names or mistyped values. *)
+(** Set an option; errors on unknown names or mistyped values.  The name
+    matches case-insensitively. *)
 val set : t -> string -> Sqlval.Value.t -> (unit, Errors.t) result
 
+(** Current value of an option; [name] must be lowercase, as in
+    {!known}. *)
 val get : t -> string -> Sqlval.Value.t option
 
 (** Typed accessors for the options with engine-visible semantics. *)

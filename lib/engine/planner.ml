@@ -78,7 +78,7 @@ let const_value env e =
 
 (* Is [e] a bare reference to [column] (possibly qualified)? *)
 let is_column_ref column = function
-  | A.Col { column = c; _ } -> String.lowercase_ascii c = String.lowercase_ascii column
+  | A.Col { column = c; _ } -> Storage.Schema.name_equal c column
   | _ -> false
 
 (* First indexed column name of a single-column (or leading-column) index,

@@ -145,7 +145,7 @@ let pragma t ~name ~value =
   in
   match value with
   | None -> (
-      match Options.get t.options name with
+      match Options.get t.options (String.lowercase_ascii name) with
       | Some _ -> Ok ()
       | None -> Ok () (* unknown pragmas are silently ignored, like sqlite *))
   | Some v -> (

@@ -36,11 +36,27 @@ let create () =
     analyzed = false;
   }
 
+(* Entries stay keyed by their lowercase name (so equal-under-case names
+   collide on insert); lookups compare keys with [Schema.name_equal] and
+   never fold the probe. *)
 let norm = String.lowercase_ascii
+let same = Schema.name_equal
+
+let rec find_key name = function
+  | [] -> None
+  | (k, v) :: rest -> if same k name then Some v else find_key name rest
+
+let mem_key name l = find_key name l <> None
+
+(* drops the first matching entry only, like [List.remove_assoc] *)
+let rec remove_key name = function
+  | [] -> []
+  | ((k, _) as e) :: rest ->
+      if same k name then rest else e :: remove_key name rest
 
 (* ---- tables ---- *)
 
-let find_table t name = List.assoc_opt (norm name) t.tables
+let find_table t name = find_key name t.tables
 let table_exists t name = find_table t name <> None
 
 let add_table t (schema : Schema.table) =
@@ -49,11 +65,10 @@ let add_table t (schema : Schema.table) =
   state
 
 let drop_table t name =
-  let key = norm name in
-  let existed = List.mem_assoc key t.tables in
-  t.tables <- List.remove_assoc key t.tables;
+  let existed = mem_key name t.tables in
+  t.tables <- remove_key name t.tables;
   t.indexes <-
-    List.filter (fun (_, ix) -> norm ix.Index.on_table <> key) t.indexes;
+    List.filter (fun (_, ix) -> not (same ix.Index.on_table name)) t.indexes;
   existed
 
 let table_names t = List.map (fun (_, ts) -> ts.schema.Schema.table_name) t.tables
@@ -65,44 +80,42 @@ let children_of t name =
   List.filter_map
     (fun (_, ts) ->
       match ts.schema.Schema.inherits with
-      | Some parent when norm parent = norm name ->
+      | Some parent when same parent name ->
           Some ts.schema.Schema.table_name
       | _ -> None)
     t.tables
 
 (* ---- indexes ---- *)
 
-let find_index t name = List.assoc_opt (norm name) t.indexes
+let find_index t name = find_key name t.indexes
 let index_exists t name = find_index t name <> None
 
 let add_index t (ix : Index.t) =
   t.indexes <- t.indexes @ [ (norm ix.Index.index_name, ix) ]
 
 let drop_index t name =
-  let key = norm name in
-  let existed = List.mem_assoc key t.indexes in
-  t.indexes <- List.remove_assoc key t.indexes;
+  let existed = mem_key name t.indexes in
+  t.indexes <- remove_key name t.indexes;
   existed
 
 let indexes_on t table_name =
   List.filter_map
     (fun (_, ix) ->
-      if norm ix.Index.on_table = norm table_name then Some ix else None)
+      if same ix.Index.on_table table_name then Some ix else None)
     t.indexes
 
 let index_names t = List.map (fun (_, ix) -> ix.Index.index_name) t.indexes
 
 (* ---- views ---- *)
 
-let find_view t name = List.assoc_opt (norm name) t.views
+let find_view t name = find_key name t.views
 let view_exists t name = find_view t name <> None
 
 let add_view t (v : view) = t.views <- t.views @ [ (norm v.view_name, v) ]
 
 let drop_view t name =
-  let key = norm name in
-  let existed = List.mem_assoc key t.views in
-  t.views <- List.remove_assoc key t.views;
+  let existed = mem_key name t.views in
+  t.views <- remove_key name t.views;
   existed
 
 let view_names t = List.map (fun (_, v) -> v.view_name) t.views
@@ -112,8 +125,12 @@ let view_names t = List.map (fun (_, v) -> v.view_name) t.views
 let add_statistics t (s : statistics) =
   t.stats <- t.stats @ [ (norm s.stat_name, s) ]
 
-let statistics_exists t name = List.mem_assoc (norm name) t.stats
-let statistics_on t table = List.filter (fun (_, s) -> norm s.stat_table = norm table) t.stats |> List.map snd
+let statistics_exists t name = mem_key name t.stats
+
+let statistics_on t table =
+  List.filter_map
+    (fun (_, s) -> if same s.stat_table table then Some s else None)
+    t.stats
 
 (* ---- corruption ---- *)
 

@@ -56,18 +56,31 @@ let make_table ?(primary_key = []) ?(without_rowid = false) ?engine ?inherits
     broken_expr_index = false;
   }
 
-let find_column t name =
-  let lowered = String.lowercase_ascii name in
+(* SQL identifiers match case-insensitively over ASCII.  Every name lookup
+   in the engine goes through this one comparison, which folds each byte
+   pair in place instead of lowercasing (and allocating) both strings. *)
+let name_equal a b =
+  let n = String.length a in
+  n = String.length b
+  &&
   let rec go i =
-    if i >= Array.length t.columns then None
-    else if String.lowercase_ascii t.columns.(i).name = lowered then
-      Some (i, t.columns.(i))
-    else go (i + 1)
+    i >= n
+    || Char.lowercase_ascii (String.unsafe_get a i)
+       = Char.lowercase_ascii (String.unsafe_get b i)
+       && go (i + 1)
   in
   go 0
 
+let rec slot columns name i =
+  if i >= Array.length columns then -1
+  else if name_equal columns.(i).name name then i
+  else slot columns name (i + 1)
+
+let find_column t name =
+  match slot t.columns name 0 with -1 -> None | i -> Some (i, t.columns.(i))
+
 let column_index t name =
-  match find_column t name with Some (i, _) -> Some i | None -> None
+  match slot t.columns name 0 with -1 -> None | i -> Some i
 
 let column_names t = Array.to_list (Array.map (fun c -> c.name) t.columns)
 let width t = Array.length t.columns

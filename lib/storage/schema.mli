@@ -60,6 +60,10 @@ val make_table :
   string ->
   table
 
+(** Identifier equality: ASCII case-insensitive, allocation-free.  Every
+    table, index, view and column name lookup uses it. *)
+val name_equal : string -> string -> bool
+
 (** Case-insensitive column lookup; returns the index and the column. *)
 val find_column : table -> string -> (int * column) option
 

@@ -30,6 +30,13 @@ let rows_sql s sql =
 
 let script s sqls = List.iter (fun sql -> ignore (exec_sql s sql)) sqls
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 let show_rows rows =
   String.concat ";"
     (List.map
@@ -242,6 +249,117 @@ let test_expression_index_scan () =
     ];
   Alcotest.(check int) "rows survive expression index" 3
     (List.length (rows_sql s "SELECT * FROM t0"))
+
+(* LIKE matches numbers and blobs through their text form, so the
+   LIKE-prefix index path must return every row the forced full scan of
+   the same query returns. *)
+let like_prefix_vs_full_scan setup ~table ~pattern ~rows () =
+  let s = Engine.Session.create Dialect.Sqlite_like in
+  script s setup;
+  let sql = Printf.sprintf "SELECT c0 FROM %s WHERE c0 LIKE '%s'" table pattern in
+  let q, where =
+    match Sqlparse.Parser.parse_stmt sql with
+    | Ok (A.Select_stmt (A.Q_select sel as q)) -> (q, sel.A.sel_where)
+    | _ -> Alcotest.failf "not a SELECT: %s" sql
+  in
+  Alcotest.(check bool) "default plan is the LIKE-prefix index path" true
+    (List.exists
+       (fun l -> contains l "index-like")
+       (Engine.Session.plan_lines s q));
+  let full_scan =
+    {
+      Engine.Executor.f_sites =
+        [
+          {
+            Engine.Executor.fs_alias = table;
+            fs_table = table;
+            fs_where = where;
+            fs_path = Engine.Planner.Full_scan;
+          };
+        ];
+      f_swap_join = false;
+    }
+  in
+  let sorted = function
+    | Ok rs ->
+        List.sort compare
+          (String.split_on_char ';' (show_rows rs.Engine.Executor.rs_rows))
+    | Error e -> Alcotest.failf "%s: %s" sql (Engine.Errors.show e)
+  in
+  let via_scan = sorted (Engine.Session.query_forced s ~force:full_scan q) in
+  Alcotest.(check int) "full scan matches" rows (List.length via_scan);
+  Alcotest.(check (list string)) "index path = full scan" via_scan
+    (sorted (Engine.Session.query s q))
+
+let test_like_prefix_blob =
+  like_prefix_vs_full_scan
+    [
+      "CREATE TABLE t0(c0 TEXT COLLATE NOCASE)";
+      "CREATE INDEX i0 ON t0(c0)";
+      "INSERT INTO t0(c0) VALUES (X'61'), ('ab')";
+    ]
+    ~table:"t0" ~pattern:"a%" ~rows:2
+
+let test_like_prefix_numbers =
+  like_prefix_vs_full_scan
+    [
+      "CREATE TABLE t1(c0 COLLATE NOCASE)";
+      "CREATE INDEX i1 ON t1(c0)";
+      "INSERT INTO t1(c0) VALUES (12), ('1x'), (1.5)";
+    ]
+    ~table:"t1" ~pattern:"1%" ~rows:3
+
+(* Identifiers match case-insensitively wherever they are looked up: every
+   name below differs in case from its declaration.  The expected rows and
+   errors are those of an engine that lowercases both names to compare
+   them. *)
+let test_mixed_case_identifiers () =
+  let s = Engine.Session.create Dialect.Sqlite_like in
+  let outcome sql =
+    match Sqlparse.Parser.parse_stmt sql with
+    | Error e -> Alcotest.failf "parse failed (%s): %s" sql (Sqlparse.Parser.show_error e)
+    | Ok stmt -> (
+        match Engine.Session.execute s stmt with
+        | Ok (Engine.Session.Rows rs) ->
+            String.concat "|" rs.Engine.Executor.rs_columns
+            ^ ": " ^ show_rows rs.Engine.Executor.rs_rows
+        | Ok (Engine.Session.Affected n) -> Printf.sprintf "%d affected" n
+        | Ok Engine.Session.Done -> "ok"
+        | Error e -> "error: " ^ e.Engine.Errors.message)
+  in
+  List.iter
+    (fun (sql, expected) -> Alcotest.(check string) sql expected (outcome sql))
+    [
+      ("CREATE TABLE MixT(Id INT PRIMARY KEY, NaMe TEXT UNIQUE, Score INT)", "ok");
+      ("CREATE UNIQUE INDEX UqScoreName ON mixt(SCORE, name)", "ok");
+      ("CREATE INDEX PartScore ON MIXT(score) WHERE SCORE > 10", "ok");
+      ("CREATE INDEX ExprIdx ON mixT((sCore + ID))", "ok");
+      ( "INSERT INTO mixt(ID, name, SCORE) VALUES (1, 'a', 5), (2, 'b', 20), (3, 'c', 30)",
+        "3 affected" );
+      ("INSERT INTO MIXT(id, NAME, score) VALUES (4, 'B', 7)", "1 affected");
+      ( "INSERT INTO MIXT(id, NAME, score) VALUES (5, 'b', 1)",
+        "error: UNIQUE constraint failed: MixT.NaMe" );
+      ( "INSERT INTO MIXT(iD, NAME, score) VALUES (1, 'z', 1)",
+        "error: UNIQUE constraint failed: MixT.Id" );
+      ("UPDATE Mixt SET SCORE = Score + 10 WHERE naME = 'a'", "1 affected");
+      ( "UPDATE MIXT SET nAmE = 'c' WHERE SCORE = 15",
+        "error: UNIQUE constraint failed: MixT.NaMe" );
+      ("DELETE FROM mixt WHERE MIXT.score = 20", "1 affected");
+      ("ALTER TABLE mixt RENAME COLUMN SCORE TO Pts", "ok");
+      ("CREATE TABLE Other(OId INT, MixId INT)", "ok");
+      ("INSERT INTO other(oid, MIXID) VALUES (10, 1), (30, 3), (40, 4)", "3 affected");
+      ( "SELECT MixT.NAME, O.OID, mixt.pts FROM mixt JOIN Other AS o ON MIXT.ID = \
+         o.MIXID WHERE PTS > 3",
+        "NAME|OID|pts: a|10|15;c|30|30;B|40|7" );
+      ("SELECT Name FROM MIXT WHERE pts > 10", "Name: a;c");
+      ("SELECT NAME FROM mixt WHERE (Pts + Id) = 16", "NAME: a");
+      ("SELECT Name FROM MIXT WHERE Pts > 10", "Name: a;c");
+      ("DELETE FROM MIXT WHERE mixt.PTS > 20", "1 affected");
+      ("SELECT * FROM mixt", "id|name|pts: 1|a|15;4|B|7");
+      ("DROP INDEX EXPRidx", "ok");
+      ("DROP TABLE OTHER", "ok");
+      ("SELECT * FROM other", "error: no such table: other");
+    ]
 
 let test_views_follow_base_table () =
   let s = Engine.Session.create Dialect.Sqlite_like in
@@ -554,6 +672,12 @@ let () =
           Alcotest.test_case "drop column of a partial index" `Quick
             test_drop_column_partial_index;
           Alcotest.test_case "expression index scan" `Quick test_expression_index_scan;
+          Alcotest.test_case "LIKE prefix index over a blob" `Quick
+            test_like_prefix_blob;
+          Alcotest.test_case "LIKE prefix index over numbers" `Quick
+            test_like_prefix_numbers;
+          Alcotest.test_case "mixed-case identifiers" `Quick
+            test_mixed_case_identifiers;
           Alcotest.test_case "views" `Quick test_views_follow_base_table;
           Alcotest.test_case "serial" `Quick test_serial_autoincrement;
           Alcotest.test_case "rowid alias" `Quick test_rowid_alias;

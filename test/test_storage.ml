@@ -252,8 +252,35 @@ let test_catalog_inheritance () =
   Alcotest.(check (list string)) "children" [ "t1" ]
     (Storage.Catalog.children_of cat "t0")
 
+(* Identifier equality agrees with comparing lowercased copies, on
+   arbitrary bytes; half the pairs are case-scrambled copies, so equal
+   pairs are common. *)
+let prop_name_equal =
+  let recase flips s =
+    String.mapi
+      (fun i c ->
+        if List.nth flips (i mod List.length flips) then Char.uppercase_ascii c
+        else Char.lowercase_ascii c)
+      s
+  in
+  let flips = QCheck.Gen.(list_size (1 -- 12) bool) in
+  QCheck.Test.make ~name:"name_equal = equality of lowercased copies"
+    ~count:1000
+    (QCheck.make ~print:QCheck.Print.(pair string string)
+       QCheck.Gen.(
+         string_size (0 -- 12) >>= fun a ->
+         oneof
+           [
+             map (fun b -> (a, b)) (string_size (0 -- 12));
+             map (fun f -> (a, recase f a)) flips;
+           ]))
+    (fun (a, b) ->
+      Storage.Schema.name_equal a b
+      = String.equal (String.lowercase_ascii a) (String.lowercase_ascii b))
+
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_btree_model; prop_btree_range_model ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_btree_model; prop_btree_range_model; prop_name_equal ]
 
 let () =
   Alcotest.run "storage"
